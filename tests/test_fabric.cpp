@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
+
 #include "rxl/sim/trial_runner.hpp"
 
 namespace rxl::transport {
@@ -172,6 +176,127 @@ TEST(Fabric, SummaryMentionsKeyCounters) {
   const std::string text = summarize(report);
   EXPECT_NE(text.find("in-order"), std::string::npos);
   EXPECT_NE(text.find("downstream"), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// Recorded-counter equivalence: these constants were recorded from the last
+// build whose run_fabric wired its switch chains by hand. Every case runs
+// stochastic drops, so a match is a draw-for-draw reproduction of the
+// legacy trajectory: any drift in the replayed seed order, the switch
+// model, the endpoint protocol, or the channel error streams lands here.
+// --------------------------------------------------------------------------
+
+/// One direction's pinned counters, space-separated: the scoreboard's
+/// delivered, in_order, order_violations, duplicates, late_deliveries,
+/// data_corruptions and missing; the sender's retransmitted flits and retry
+/// rounds; the switch drops (FEC, CRC), FEC corrections and internal
+/// corruptions; and the channel corruptions.
+std::string counters_of(const DirectionReport& d) {
+  std::string row;
+  auto put = [&row](std::uint64_t value) {
+    if (!row.empty()) row += ' ';
+    row += std::to_string(value);
+  };
+  put(d.scoreboard.delivered);
+  put(d.scoreboard.in_order);
+  put(d.scoreboard.order_violations);
+  put(d.scoreboard.duplicates);
+  put(d.scoreboard.late_deliveries);
+  put(d.scoreboard.data_corruptions);
+  put(d.scoreboard.missing);
+  put(d.tx.data_flits_retransmitted);
+  put(d.tx.retry_rounds);
+  put(d.switch_dropped_fec);
+  put(d.switch_dropped_crc);
+  put(d.switch_fec_corrected);
+  put(d.switch_internal_corruptions);
+  put(d.channel_flits_corrupted);
+  return row;
+}
+
+struct RecordedCase {
+  const char* name;
+  Protocol protocol;
+  unsigned levels;
+  double ber;
+  double burst_rate;
+  double internal_rate;
+  RetryMode retry_mode;
+  std::uint64_t upstream_flits;
+  const char* downstream;
+  const char* upstream;
+};
+
+FabricConfig recorded_config(const RecordedCase& c) {
+  FabricConfig config;
+  config.protocol.protocol = c.protocol;
+  config.protocol.retry_mode = c.retry_mode;
+  config.protocol.coalesce_factor = 10;
+  config.switch_levels = c.levels;
+  config.ber = c.ber;
+  config.burst_injection_rate = c.burst_rate;
+  config.switch_internal_error_rate = c.internal_rate;
+  config.seed = 4242;
+  config.downstream_flits = 3'000;
+  config.upstream_flits = c.upstream_flits;
+  config.horizon = 40'000'000;  // 40 us = 20k slots
+  return config;
+}
+
+constexpr Protocol kC = Protocol::kCxl;
+constexpr Protocol kR = Protocol::kRxl;
+constexpr RetryMode kGbn = RetryMode::kGoBackN;
+constexpr RetryMode kSr = RetryMode::kSelectiveRepeat;
+
+const RecordedCase kRecordedCases[] = {
+    {"cxl-L0", kC, 0, 0.0, 4e-3, 0.0, kGbn, 3'000,
+     "3002 3000 0 2 0 0 0 112 11 0 0 0 0 11",
+     "3002 3000 0 2 0 0 0 115 15 0 0 0 0 7"},
+    {"cxl-L1", kC, 1, 0.0, 4e-3, 0.0, kGbn, 3'000,
+     "3003 3000 0 3 0 0 0 556 26 8 5 5 0 22",
+     "3000 3000 0 0 0 0 0 689 23 14 2 2 0 29"},
+    {"cxl-L2", kC, 2, 0.0, 4e-3, 0.0, kGbn, 3'000,
+     "3002 2998 1 2 1 0 0 1712 34 20 12 12 0 49",
+     "3003 2996 2 3 2 0 0 1514 26 15 9 9 0 40"},
+    {"cxl-L4", kC, 4, 0.0, 4e-3, 0.0, kGbn, 3'000,
+     "3002 2996 2 2 2 0 0 5835 65 92 47 47 0 180",
+     "2790 2789 1 0 0 0 210 6359 67 119 54 54 0 207"},
+    {"rxl-L0", kR, 0, 0.0, 4e-3, 0.0, kGbn, 3'000,
+     "3000 3000 0 0 0 0 0 110 11 0 0 0 0 11",
+     "3000 3000 0 0 0 0 0 74 36 0 0 0 0 7"},
+    {"rxl-L1", kR, 1, 0.0, 4e-3, 0.0, kGbn, 3'000,
+     "3000 3000 0 0 0 0 0 575 20 8 0 5 0 22",
+     "3000 3000 0 0 0 0 0 985 25 16 0 2 0 33"},
+    {"rxl-L2", kR, 2, 0.0, 4e-3, 0.0, kGbn, 3'000,
+     "3000 3000 0 0 0 0 0 1921 71 20 0 14 0 52",
+     "3000 3000 0 0 0 0 0 1420 26 15 0 9 0 40"},
+    {"rxl-L4", kR, 4, 0.0, 4e-3, 0.0, kGbn, 3'000,
+     "3000 3000 0 0 0 0 0 6108 66 95 0 47 0 184",
+     "3000 3000 0 0 0 0 0 6257 88 118 0 54 0 205"},
+    {"cxl-L2-internal", kC, 2, 1e-5, 1e-3, 2e-3, kGbn, 3'000,
+     "3001 3000 0 1 0 5 0 401 8 6 2 141 6 219",
+     "3001 3000 0 1 0 14 0 318 13 2 2 139 16 214"},
+    {"rxl-L2-internal", kR, 2, 1e-5, 1e-3, 2e-3, kGbn, 3'000,
+     "3000 3000 0 0 0 0 0 703 15 6 0 155 6 244",
+     "3000 3000 0 0 0 0 0 1421 51 2 0 197 24 298"},
+    {"cxl-L1-selective", kC, 1, 0.0, 4e-3, 0.0, kSr, 3'000,
+     "3001 3000 0 1 0 0 0 370 116 8 5 5 0 21",
+     "3000 3000 0 0 0 0 0 86 86 11 2 2 0 25"},
+    {"rxl-L2-asymmetric", kR, 2, 2e-5, 4e-3, 0.0, kGbn, 0,
+     "3000 3000 0 0 0 0 0 2571 39 34 0 450 0 719",
+     "0 0 0 0 0 0 0 0 0 1 0 6 0 8"},
+};
+
+TEST(Fabric, SwitchLevelsMatchRecordedLegacyCounters) {
+  const auto reports =
+      sim::run_trials(std::size(kRecordedCases), [](std::size_t trial) {
+        return run_fabric(recorded_config(kRecordedCases[trial]));
+      });
+  for (std::size_t i = 0; i < std::size(kRecordedCases); ++i) {
+    const RecordedCase& c = kRecordedCases[i];
+    EXPECT_EQ(counters_of(reports[i].downstream), c.downstream) << c.name;
+    EXPECT_EQ(counters_of(reports[i].upstream), c.upstream) << c.name;
+  }
 }
 
 }  // namespace
