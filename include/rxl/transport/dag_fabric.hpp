@@ -1,7 +1,8 @@
 // Multi-hop DAG fabrics with per-hop ISN domains.
 //
-// The star/level harnesses hard-code their wiring; DagFabric replaces that
-// with graph construction over three node kinds:
+// DagFabric is the one fabric engine: every topology, including the
+// paper's canned star and multi-level switch trials, is graph construction
+// over three node kinds:
 //  * kTerminal — a flow source/sink (one NIC: at most one uplink edge and
 //    one downlink edge).
 //  * kRelay    — a DNP-style store-and-forward switch that TERMINATES the
@@ -9,22 +10,25 @@
 //    hop is its own ISN/CRC + retry domain with independent sequence state.
 //  * kHub      — a transparent multi-port switch (switchdev::PortSwitch)
 //    that forwards without touching sequence numbers, splicing the ISN
-//    domain through — exactly the paper's switch model. The legacy star
-//    fabric is this: endpoints around one hub.
+//    domain through — exactly the paper's switch model. The star fabric is
+//    endpoints around one hub; the multi-level switch trial is a chain of
+//    hubs per direction.
 //
 // Edges are directed links, each with its own ErrorModel parameters and
 // channel seed. An ISN domain spans termination-to-termination: a direct
-// edge between terminating nodes, or an edge pair through one hub. When the
-// topology also contains the reverse segment, the domain is bidirectional
-// (one Endpoint per side, ACKs piggyback — the legacy configuration);
-// otherwise an implicit reverse control channel is synthesised and ACKs
-// travel standalone.
+// edge between terminating nodes, or a path through a chain of one or more
+// hubs. When the topology also contains a segment back from the peer to
+// the origin (through any hubs), the domain is bidirectional (one Endpoint
+// per side, ACKs piggyback — the paper's configuration); otherwise an
+// implicit reverse control channel is synthesised and ACKs travel
+// standalone.
 //
 // Routing is deterministic and table-driven: per-flow shortest paths
 // (breadth-first, ties broken by lowest edge id) compiled into per-relay
-// flow tables and per-domain hub egress tags. plan_dag() validates the
-// topology (acyclicity of the switching core, reachability, port fan-out
-// limits, domain exclusivity) before anything is instantiated.
+// flow tables and per-stage hub egress tags (each hub port rewrites the tag
+// for the next hub as the flit leaves). plan_dag() validates the topology
+// (acyclicity of the switching core, reachability, port fan-out limits,
+// domain exclusivity per edge) before anything is instantiated.
 #pragma once
 
 #include <array>
@@ -43,6 +47,7 @@
 #include "rxl/switchdev/relay_switch.hpp"
 #include "rxl/transport/config.hpp"
 #include "rxl/transport/endpoint.hpp"
+#include "rxl/transport/fabric.hpp"
 #include "rxl/transport/star_fabric.hpp"
 #include "rxl/transport/traffic_gen.hpp"
 #include "rxl/txn/scoreboard.hpp"
@@ -55,8 +60,9 @@ struct DagNode {
   std::string name;
   DagNodeKind kind = DagNodeKind::kTerminal;
   /// Hub internal-corruption RNG seed; drawn from the fabric seeder when
-  /// unset. Explicit seeds exist so legacy harnesses can be reproduced
-  /// draw-for-draw (see run_star_fabric_via_dag).
+  /// unset. Explicit seeds exist so the canned star and switch-level trials
+  /// reproduce their historical seed draws (see make_star_dag and
+  /// make_switch_levels_dag).
   std::optional<std::uint64_t> seed;
 };
 
@@ -194,17 +200,25 @@ inline constexpr std::size_t kLatencyRingSlots = 4096;
 /// The compiled routing plan: what plan_dag() validates and run_dag_fabric()
 /// instantiates. Exposed so tests can pin routing decisions directly.
 struct DagPlan {
+  /// One transparent switch stage a segment crosses.
+  struct HubStage {
+    std::uint16_t hub = 0;   ///< hub node id
+    std::uint16_t port = 0;  ///< egress port the flit leaves the hub on
+    std::uint16_t edge = 0;  ///< the edge behind that port
+  };
   /// One ISN domain direction: origin termination -> peer termination,
-  /// optionally through one hub.
+  /// directly or through a chain of hubs.
   struct Segment {
     std::uint16_t origin = 0;  ///< terminating node the data leaves
     std::uint16_t peer = 0;    ///< terminating node the data reaches
     std::uint16_t egress_edge = 0;   ///< edge out of origin
     std::uint16_t ingress_edge = 0;  ///< edge into peer (== egress if direct)
-    std::optional<std::uint16_t> hub;
-    std::uint16_t hub_port = 0;  ///< hub egress port tag stamped at origin
-    /// Index of the reverse segment when the topology carries one (the
-    /// domain is then bidirectional and ACKs piggyback on reverse data).
+    /// Hubs crossed, in order (empty = direct edge). The origin stamps the
+    /// first stage's port; each hub rewrites the tag to the next stage's.
+    std::vector<HubStage> hubs;
+    /// Index of the reverse segment (peer back to origin, through any
+    /// hubs) when the topology carries one: the domain is then
+    /// bidirectional and ACKs piggyback on reverse data.
     std::optional<std::uint32_t> mate;
   };
   /// A precomputed backup route: when `dead_segment` of `flow`'s primary
@@ -228,19 +242,22 @@ struct DagPlan {
 };
 
 /// Validates the topology and compiles the routing plan.
-/// Throws std::invalid_argument (with the offending node/edge named) on:
+/// Throws std::invalid_argument (with the offending field, node or edge
+/// named) on: a zero slot or horizon, an error rate (edge ber or
+/// burst_injection_rate, hub_internal_error_rate) outside [0, 1] or NaN,
 /// bad indices, self/duplicate edges, fan-out beyond max_ports, terminals
-/// with more than one uplink/downlink, hub-adjacent hubs, idle hubs, a
-/// cyclic switching core, unreachable flows, several flows originating at
-/// one terminal, two ISN domains multiplexed onto one hub egress edge, or
-/// a credit configuration that could deadlock (an explicit zero-credit
-/// edge, a window beyond link::kMaxCreditWindow, or credits on a CXL
-/// domain crossing a transparent hub — §4.1 silent drops would leak
-/// window slots forever). The acyclic switching
-/// core plus >= 1 credit per flow-controlled hop is the plan-time
-/// deadlock-safety argument: sinks always drain, so by induction along the
-/// (finite, acyclic) downstream order every relay egress eventually
-/// re-originates, frees a slot, and returns a credit upstream.
+/// with more than one uplink/downlink, idle hubs, a cyclic switching core,
+/// unreachable flows, several flows originating at one terminal, two ISN
+/// domains sharing any edge (multiplexed onto one receiver, or one
+/// termination fanning out through a hub), or a credit configuration that
+/// could deadlock (an explicit zero-credit edge, a window beyond
+/// link::kMaxCreditWindow, or credits on a CXL domain crossing a
+/// transparent hub — §4.1 silent drops would leak window slots forever).
+/// The acyclic switching core plus >= 1 credit per flow-controlled hop is
+/// the plan-time deadlock-safety argument: sinks always drain, so by
+/// induction along the (finite, acyclic) downstream order every relay
+/// egress eventually re-originates, frees a slot, and returns a credit
+/// upstream.
 [[nodiscard]] DagPlan plan_dag(const DagConfig& config);
 
 /// Per-hop link statistics: both terminations and both channels of one ISN
@@ -329,6 +346,10 @@ struct DagHubReport {
 struct DagReport {
   std::vector<DagFlowReport> flows;
   std::vector<DagLinkStats> hops;
+  /// Forward-channel statistics of every edge, indexed by edge id (a
+  /// hub-crossing hop's DagLinkStats shows only its first and reverse
+  /// channels).
+  std::vector<sim::ChannelStats> edges;
   std::vector<DagRelayReport> relays;
   std::vector<DagHubReport> hubs;
   std::vector<DagRerouteReport> reroutes;  ///< controller episodes, in order
@@ -505,5 +526,15 @@ struct DagFlowClass {
 /// `hub` carries the shared switch's aggregate counters (what the legacy
 /// build split across its two per-direction switch instances).
 [[nodiscard]] StarReport run_star_fabric_via_dag(const StarConfig& config);
+
+/// The paper's multi-level switch trial as a DAG: host and device joined
+/// by a downstream chain of `switch_levels` one-port hubs and a separate
+/// upstream chain, forming one bidirectional ISN domain (ACKs piggyback).
+/// Node ids: host 0, device 1, downstream hubs 2..L+1, upstream hubs
+/// L+2..2L+1; edge ids: downstream 0..L (host first), upstream L+1..2L+1
+/// (device first). Every seed is explicit, replaying the historical draw
+/// order per direction, downstream first: the L+1 channels, then the L
+/// switches. run_fabric() runs this and pins it against recorded counters.
+[[nodiscard]] DagConfig make_switch_levels_dag(const FabricConfig& config);
 
 }  // namespace rxl::transport

@@ -1,20 +1,21 @@
-// End-to-end fabric harness: host <-> (N switch levels) <-> device.
+// End-to-end fabric trial: host <-> (N switch levels) <-> device.
 //
-// Builds the full simulated topology for the paper's evaluation
-// configurations — direct connection (0 levels) up to multi-level switching
-// — runs bidirectional traffic for a fixed horizon, and reports the
-// per-direction protocol statistics plus the application-level failure
-// scoreboards (Fail_order / Fail_data).
+// The paper's evaluation configurations — direct connection (0 levels) up
+// to multi-level switching — with bidirectional traffic for a fixed
+// horizon, reporting the per-direction protocol statistics plus the
+// application-level failure scoreboards (Fail_order / Fail_data).
+//
+// The topology is one canned DagFabric (make_switch_levels_dag in
+// dag_fabric.hpp): per direction a chain of one-port transparent hubs,
+// pinned to the counters of the retired hand-wired harness by the
+// recorded-counter tests in test_fabric.cpp. Only the configuration and
+// report types and the run_fabric() entry point live here.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "rxl/link/link_layer.hpp"
-#include "rxl/switchdev/switch_device.hpp"
 #include "rxl/transport/config.hpp"
 #include "rxl/transport/endpoint.hpp"
 #include "rxl/txn/scoreboard.hpp"
@@ -70,10 +71,9 @@ struct FabricReport {
   std::uint64_t slots = 0;  ///< link slot capacity over the horizon
 };
 
-/// Builds, runs, and tears down a fabric simulation.
+/// Runs make_switch_levels_dag(config) and repackages the DagReport per
+/// direction. Throws std::invalid_argument on a malformed config (see
+/// plan_dag).
 [[nodiscard]] FabricReport run_fabric(const FabricConfig& config);
-
-/// Pretty one-line summary for examples.
-[[nodiscard]] std::string summarize(const FabricReport& report);
 
 }  // namespace rxl::transport

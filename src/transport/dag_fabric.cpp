@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -18,6 +19,23 @@ namespace {
 
 [[noreturn]] void invalid(std::string message) {
   throw std::invalid_argument(std::move(message));
+}
+
+/// Throws unless `value` is a probability in [0, 1] (NaN fails too).
+/// `edge` names the offending edge; the default marks a fabric-wide field.
+void require_probability(double value, const char* field,
+                         std::size_t edge = SIZE_MAX) {
+  if (value >= 0.0 && value <= 1.0) return;
+  std::string message;
+  if (edge != SIZE_MAX) {
+    message += "edge ";
+    message += std::to_string(edge);
+    message += " ";
+  }
+  message += field;
+  message += " must be a probability in [0, 1], got ";
+  message += std::to_string(value);
+  invalid(std::move(message));
 }
 
 std::string node_label(const DagConfig& config, std::size_t node) {
@@ -43,6 +61,10 @@ DagPlan plan_dag(const DagConfig& config) {
 
   auto kind = [&](std::size_t node) { return config.nodes[node].kind; };
   auto label = [&](std::size_t node) { return node_label(config, node); };
+  if (config.slot == 0) invalid("slot must be > 0 (it divides the horizon)");
+  if (config.horizon == 0) invalid("horizon must be > 0");
+  require_probability(config.hub_internal_error_rate,
+                      "hub_internal_error_rate");
 
   // Edge sanity + adjacency (out/in lists stay in edge-id order).
   std::vector<std::vector<std::uint16_t>> out_edges(n);
@@ -60,6 +82,8 @@ DagPlan plan_dag(const DagConfig& config) {
       message += label(edge.src);
       invalid(std::move(message));
     }
+    require_probability(edge.ber, "ber", e);
+    require_probability(edge.burst_injection_rate, "burst_injection_rate", e);
     if (edge.credits.has_value()) {
       // Deadlock safety: the acyclicity check below guarantees progress
       // only if every flow-controlled hop can hold at least one flit
@@ -175,16 +199,6 @@ DagPlan plan_dag(const DagConfig& config) {
           message += label(v);
           message += " needs at least one ingress and one egress edge";
           invalid(std::move(message));
-        }
-        for (const std::uint16_t e : out_edges[v]) {
-          if (kind(config.edges[e].dst) == DagNodeKind::kHub) {
-            std::string message = "hubs ";
-            message += label(v);
-            message += " and ";
-            message += label(config.edges[e].dst);
-            message += " are adjacent; an ISN domain may cross at most one hub";
-            invalid(std::move(message));
-          }
         }
         break;
       case DagNodeKind::kRelay:
@@ -389,66 +403,72 @@ DagPlan plan_dag(const DagConfig& config) {
         "ecn_threshold set with credit flow control off everywhere; ECN "
         "early backpressure needs hop_credits or per-edge credits");
 
-  // Segment extraction: split each path at terminating nodes. The hub
-  // adjacency check above guarantees a run between terminations is one
-  // direct edge or an (entry, exit) pair through one hub.
+  // Segment extraction: split each path at terminating nodes. A run between
+  // terminations is one direct edge or a path through a chain of hubs.
+  // Domains are exclusive per edge — an edge carries at most one domain
+  // direction — so a receiver never has to demux two ISN streams, and each
+  // hub egress port can hold the one next-stage tag its domain needs.
   auto hub_port_of = [&](std::uint16_t hub, std::uint16_t edge) {
     const std::vector<std::uint16_t>& outs = out_edges[hub];
     const auto it = std::find(outs.begin(), outs.end(), edge);
     assert(it != outs.end());
     return static_cast<std::uint16_t>(it - outs.begin());
   };
-  std::vector<std::int32_t> segment_of_egress(config.edges.size(), -1);
-  std::vector<std::int32_t> segment_of_ingress(config.edges.size(), -1);
+  std::vector<std::int32_t> segment_of_edge(config.edges.size(), -1);
   auto extract_segments = [&](const std::vector<std::uint16_t>& path,
                               std::vector<std::uint32_t>& into) {
     std::size_t i = 0;
     while (i < path.size()) {
       DagPlan::Segment segment;
-      const std::uint16_t e1 = path[i];
-      segment.origin = config.edges[e1].src;
-      segment.egress_edge = e1;
-      if (kind(config.edges[e1].dst) == DagNodeKind::kHub) {
-        assert(i + 1 < path.size());
-        const std::uint16_t e2 = path[i + 1];
-        segment.hub = config.edges[e1].dst;
-        segment.hub_port = hub_port_of(*segment.hub, e2);
-        segment.ingress_edge = e2;
-        segment.peer = config.edges[e2].dst;
-        i += 2;
-      } else {
-        segment.ingress_edge = e1;
-        segment.peer = config.edges[e1].dst;
-        i += 1;
+      std::uint16_t edge = path[i++];
+      segment.origin = config.edges[edge].src;
+      segment.egress_edge = edge;
+      while (kind(config.edges[edge].dst) == DagNodeKind::kHub) {
+        assert(i < path.size());
+        const std::uint16_t hub = config.edges[edge].dst;
+        edge = path[i++];
+        segment.hubs.push_back(
+            DagPlan::HubStage{hub, hub_port_of(hub, edge), edge});
       }
-      const std::int32_t existing = segment_of_egress[segment.egress_edge];
+      segment.ingress_edge = edge;
+      segment.peer = config.edges[edge].dst;
+
+      const std::int32_t existing = segment_of_edge[segment.egress_edge];
       if (existing >= 0) {
         const DagPlan::Segment& other =
             plan.segments[static_cast<std::size_t>(existing)];
-        if (other.ingress_edge != segment.ingress_edge) {
+        const auto same_stage = [](const DagPlan::HubStage& a,
+                                   const DagPlan::HubStage& b) {
+          return a.edge == b.edge;
+        };
+        if (!std::equal(other.hubs.begin(), other.hubs.end(),
+                        segment.hubs.begin(), segment.hubs.end(),
+                        same_stage)) {
           std::string message = "ISN domain leaving ";
           message += label(segment.origin);
-          message += " fans out at hub ";
-          message += label(segment.hub.value_or(segment.peer));
+          message += " fans out through hub ";
+          message += label(segment.hubs.front().hub);
           message += " (one TX termination cannot feed two receivers)";
           invalid(std::move(message));
         }
         into.push_back(static_cast<std::uint32_t>(existing));
         continue;
       }
-      if (segment_of_ingress[segment.ingress_edge] >= 0) {
-        std::string message =
-            "two ISN domains are multiplexed onto the edge into ";
-        message += label(segment.peer);
-        message += " (an implicit-sequence receiver cannot demux them)";
-        invalid(std::move(message));
-      }
       const std::uint32_t index =
           static_cast<std::uint32_t>(plan.segments.size());
-      segment_of_egress[segment.egress_edge] = static_cast<std::int32_t>(index);
-      segment_of_ingress[segment.ingress_edge] =
-          static_cast<std::int32_t>(index);
-      plan.segments.push_back(segment);
+      auto claim = [&](std::uint16_t e) {
+        if (segment_of_edge[e] >= 0) {
+          std::string message =
+              "two ISN domains are multiplexed onto the edge into ";
+          message += label(config.edges[e].dst);
+          message += " (an implicit-sequence receiver cannot demux them)";
+          invalid(std::move(message));
+        }
+        segment_of_edge[e] = static_cast<std::int32_t>(index);
+      };
+      claim(segment.egress_edge);
+      for (const DagPlan::HubStage& stage : segment.hubs) claim(stage.edge);
+      plan.segments.push_back(std::move(segment));
       into.push_back(index);
     }
   };
@@ -536,14 +556,14 @@ DagPlan plan_dag(const DagConfig& config) {
   // rejected.
   if (config.protocol.protocol == Protocol::kCxl) {
     for (const DagPlan::Segment& segment : plan.segments) {
-      if (!segment.hub.has_value()) continue;
+      if (segment.hubs.empty()) continue;
       const std::size_t credits =
           config.edges[segment.ingress_edge].credits.value_or(
               config.hop_credits);
       if (credits > 0) {
         std::string message =
             "credit flow control on the CXL domain through hub ";
-        message += label(*segment.hub);
+        message += label(segment.hubs.front().hub);
         message += " would leak credits on silently dropped flits (§4.1 "
                    "losses are invisible to the cumulative return count); "
                    "use RXL, terminate the hop at a relay, or disable "
@@ -553,16 +573,18 @@ DagPlan plan_dag(const DagConfig& config) {
     }
   }
 
-  // Pair mutually reverse segments into bidirectional domains. At most one
-  // candidate can exist (duplicate edges are rejected above and hubs are
-  // matched exactly), so a linear scan suffices.
+  // Pair mutually reverse segments into bidirectional domains: the segment
+  // from a peer back to its origin, through whichever hubs (the paper's
+  // switch-level trial runs separate downstream and upstream switch stacks
+  // as one domain). At most one candidate exists: between two relays a
+  // return path would close a cycle in the switching core (rejected above),
+  // and a terminal's single uplink and downlink edges each belong to one
+  // domain direction. So a linear scan suffices.
   for (std::size_t i = 0; i < plan.segments.size(); ++i) {
     if (plan.segments[i].mate.has_value()) continue;
     for (std::size_t j = i + 1; j < plan.segments.size(); ++j) {
-      if (plan.segments[j].mate.has_value()) continue;
       if (plan.segments[j].origin == plan.segments[i].peer &&
-          plan.segments[j].peer == plan.segments[i].origin &&
-          plan.segments[j].hub == plan.segments[i].hub) {
+          plan.segments[j].peer == plan.segments[i].origin) {
         plan.segments[i].mate = static_cast<std::uint32_t>(j);
         plan.segments[j].mate = static_cast<std::uint32_t>(i);
         break;
@@ -755,7 +777,6 @@ class FaultController {
 // ---------------------------------------------------------------------------
 
 DagReport run_dag_fabric(const DagConfig& config) {
-  assert(config.horizon > 0);
   const DagPlan plan = plan_dag(config);
   const std::size_t node_count = config.nodes.size();
 
@@ -882,6 +903,32 @@ DagReport run_dag_fabric(const DagConfig& config) {
     if (tx_edge != DagRelayPort::kNoEdge) port.tx_edge = tx_edge;
   };
 
+  // Wires one domain direction: the TX stamps the first hub stage's port,
+  // each hub forwards on its stage's port and hands the next stage's port
+  // on as the tag, and the last edge delivers into the RX.
+  auto wire_segment = [&](const DagPlan::Segment& segment, Endpoint* tx,
+                          Endpoint* rx) {
+    tx->set_dest_port(segment.hubs.empty() ? std::uint16_t{0}
+                                           : segment.hubs.front().port);
+    std::uint16_t into = segment.egress_edge;
+    for (std::size_t k = 0; k < segment.hubs.size(); ++k) {
+      const DagPlan::HubStage& stage = segment.hubs[k];
+      switchdev::PortSwitch* const hub = hubs[stage.hub].get();
+      channels[into]->set_receiver([hub](sim::FlitEnvelope&& envelope) {
+        hub->on_flit(std::move(envelope));
+      });
+      const std::uint16_t next_tag = k + 1 < segment.hubs.size()
+                                         ? segment.hubs[k + 1].port
+                                         : std::uint16_t{0};
+      hub->set_output(stage.port, channels[stage.edge].get(), next_tag);
+      into = stage.edge;
+    }
+    channels[segment.ingress_edge]->set_receiver(
+        [rx](sim::FlitEnvelope&& envelope) {
+          rx->on_flit(std::move(envelope));
+        });
+  };
+
   struct Domain {
     std::uint32_t rep = 0;
     Endpoint* a = nullptr;
@@ -952,44 +999,17 @@ DagReport run_dag_fabric(const DagConfig& config) {
     }
 
     domain.a->set_output(domain.forward);
-    domain.a->set_dest_port(segment.hub_port);
     domain.b->set_output(domain.reverse);
-    domain.b->set_dest_port(
-        paired ? plan.segments[*segment.mate].hub_port : std::uint16_t{0});
-
-    Endpoint* const side_a = domain.a;
-    Endpoint* const side_b = domain.b;
-    channels[segment.ingress_edge]->set_receiver(
-        [side_b](sim::FlitEnvelope&& envelope) {
-          side_b->on_flit(std::move(envelope));
-        });
-    if (segment.hub.has_value()) {
-      switchdev::PortSwitch* const hub = hubs[*segment.hub].get();
-      channels[segment.egress_edge]->set_receiver(
-          [hub](sim::FlitEnvelope&& envelope) {
-            hub->on_flit(std::move(envelope));
-          });
-      hub->set_output(segment.hub_port, channels[segment.ingress_edge].get());
-    }
+    wire_segment(segment, domain.a, domain.b);
     if (paired) {
       const DagPlan::Segment& mate = plan.segments[*segment.mate];
-      channels[mate.ingress_edge]->set_receiver(
-          [side_a](sim::FlitEnvelope&& envelope) {
-            side_a->on_flit(std::move(envelope));
-          });
-      if (mate.hub.has_value()) {
-        switchdev::PortSwitch* const hub = hubs[*mate.hub].get();
-        channels[mate.egress_edge]->set_receiver(
-            [hub](sim::FlitEnvelope&& envelope) {
-              hub->on_flit(std::move(envelope));
-            });
-        hub->set_output(mate.hub_port, channels[mate.ingress_edge].get());
-      }
+      wire_segment(mate, domain.b, domain.a);
       note_relay_edges(segment.origin, domain.rep,
                        mate.ingress_edge, segment.egress_edge);
       note_relay_edges(segment.peer, domain.rep,
                        segment.ingress_edge, mate.egress_edge);
     } else {
+      Endpoint* const side_a = domain.a;
       domain.reverse->set_receiver([side_a](sim::FlitEnvelope&& envelope) {
         side_a->on_flit(std::move(envelope));
       });
@@ -1377,7 +1397,7 @@ DagReport run_dag_fabric(const DagConfig& config) {
     hop.node_b = segment.peer;
     hop.forward_edge = segment.egress_edge;
     hop.paired = segment.mate.has_value();
-    hop.crosses_hub = segment.hub.has_value();
+    hop.crosses_hub = !segment.hubs.empty();
     const Endpoint::Snapshot snap_a = domain.a->snapshot();
     const Endpoint::Snapshot snap_b = domain.b->snapshot();
     hop.a = snap_a.link;
@@ -1394,6 +1414,9 @@ DagReport run_dag_fabric(const DagConfig& config) {
     hop.reverse_channel = domain.reverse->snapshot();
     report.hops.push_back(hop);
   }
+  report.edges.reserve(channels.size());
+  for (const auto& channel : channels)
+    report.edges.push_back(channel->snapshot());
   for (std::size_t v = 0; v < node_count; ++v) {
     if (kind(v) == DagNodeKind::kRelay) {
       DagRelayReport relay_report;
@@ -1994,6 +2017,61 @@ StarReport run_star_fabric_via_dag(const StarConfig& config) {
   }
   if (!dag.hubs.empty()) report.hub = dag.hubs.front().stats;
   return report;
+}
+
+// ---------------------------------------------------------------------------
+// The paper's multi-level switch trial as hub chains
+// ---------------------------------------------------------------------------
+
+DagConfig make_switch_levels_dag(const FabricConfig& config) {
+  DagConfig dag;
+  dag.protocol = config.protocol;
+  dag.slot = config.slot;
+  dag.hub_latency = config.switch_latency;
+  dag.hub_internal_error_rate = config.switch_internal_error_rate;
+  dag.seed = config.seed;
+  dag.horizon = config.horizon;
+  // The protocol's credit window bounds both directions of the one domain.
+  dag.hop_credits = config.protocol.tx_credits;
+
+  const unsigned levels = config.switch_levels;
+  const std::uint16_t host = 0;
+  const std::uint16_t device = 1;
+  dag.nodes.push_back(DagNode{"host", DagNodeKind::kTerminal, {}});
+  dag.nodes.push_back(DagNode{"device", DagNodeKind::kTerminal, {}});
+  // Replayed seed draws: per direction, downstream first, the L+1 channels
+  // and then the L switches, so every channel error stream and every
+  // switch's internal-corruption stream matches the historical harness.
+  Xoshiro256 seeder(config.seed);
+  auto add_direction = [&](std::uint16_t from, std::uint16_t to,
+                           const char* stage_name) {
+    const std::size_t first_hub = dag.nodes.size();
+    auto hub = [&](unsigned level) {
+      return static_cast<std::uint16_t>(first_hub + level);
+    };
+    for (unsigned hop = 0; hop <= levels; ++hop) {
+      DagEdge edge;
+      edge.src = hop == 0 ? from : hub(hop - 1);
+      edge.dst = hop == levels ? to : hub(hop);
+      edge.ber = config.ber;
+      edge.burst_injection_rate = config.burst_injection_rate;
+      edge.burst_symbols = config.burst_symbols;
+      edge.latency = config.propagation_latency;
+      edge.seed = seeder();
+      dag.edges.push_back(edge);
+    }
+    for (unsigned level = 0; level < levels; ++level) {
+      std::string name = stage_name;
+      name += std::to_string(level + 1);
+      dag.nodes.push_back(
+          DagNode{std::move(name), DagNodeKind::kHub, seeder()});
+    }
+  };
+  add_direction(host, device, "down");
+  add_direction(device, host, "up");
+  dag.flows.push_back(DagFlow{host, device, config.downstream_flits, 0x00D0});
+  dag.flows.push_back(DagFlow{device, host, config.upstream_flits, 0x0B0B});
+  return dag;
 }
 
 }  // namespace rxl::transport

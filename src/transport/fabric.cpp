@@ -1,177 +1,52 @@
 #include "rxl/transport/fabric.hpp"
 
-#include <cassert>
-#include <cstdio>
-
-#include "rxl/common/bytes.hpp"
-#include "rxl/phy/error_model.hpp"
-#include "rxl/sim/event_queue.hpp"
+#include "rxl/transport/dag_fabric.hpp"
 
 namespace rxl::transport {
 namespace {
 
-std::unique_ptr<phy::ErrorModel> make_channel_errors(
-    const FabricConfig& config) {
-  std::vector<std::unique_ptr<phy::ErrorModel>> models;
-  if (config.ber > 0.0)
-    models.push_back(std::make_unique<phy::IndependentBitErrors>(config.ber));
-  if (config.burst_injection_rate > 0.0) {
-    models.push_back(std::make_unique<phy::BernoulliGate>(
-        config.burst_injection_rate,
-        std::make_unique<phy::SymbolBurstInjector>(config.burst_symbols)));
-  }
-  if (models.empty()) return std::make_unique<phy::NoErrors>();
-  if (models.size() == 1) return std::move(models.front());
-  return std::make_unique<phy::CompositeErrorModel>(std::move(models));
-}
-
-/// Deterministic payload for stream position `index`.
-std::vector<std::uint8_t> make_payload(std::uint64_t index,
-                                       std::uint64_t direction_salt) {
-  std::vector<std::uint8_t> payload(kPayloadBytes, 0);
-  Xoshiro256 rng(index * 0x9E3779B97F4A7C15ull + direction_salt);
-  for (std::size_t i = 8; i < payload.size(); i += 8)
-    store_le64(payload, i, rng());
-  store_le64(payload, 0, index);
-  return payload;
-}
-
-/// One direction of the fabric: TX endpoint -> L+1 channels / L switches ->
-/// RX endpoint.
-struct Direction {
-  std::vector<std::unique_ptr<sim::LinkChannel>> channels;
-  std::vector<std::unique_ptr<switchdev::SwitchDevice>> switches;
-  txn::StreamScoreboard scoreboard;
-};
-
-void build_direction(sim::EventQueue& queue, const FabricConfig& config,
-                     Direction& direction, Endpoint& tx, Endpoint& rx,
-                     Xoshiro256& seeder) {
-  const unsigned hops = config.switch_levels + 1;
-  direction.channels.reserve(hops);
-  direction.switches.reserve(config.switch_levels);
-  for (unsigned hop = 0; hop < hops; ++hop) {
-    direction.channels.push_back(std::make_unique<sim::LinkChannel>(
-        queue, make_channel_errors(config), seeder(), config.slot,
-        config.propagation_latency));
-  }
-  for (unsigned level = 0; level < config.switch_levels; ++level) {
-    switchdev::SwitchDevice::Config sw;
-    sw.protocol = config.protocol.protocol;
-    sw.internal_error_rate = config.switch_internal_error_rate;
-    sw.forward_latency = config.switch_latency;
-    direction.switches.push_back(
-        std::make_unique<switchdev::SwitchDevice>(queue, sw, seeder()));
-  }
-  // Wire: tx -> chan[0] -> sw[0] -> chan[1] -> ... -> chan[L] -> rx.
-  tx.set_output(direction.channels.front().get());
-  for (unsigned level = 0; level < config.switch_levels; ++level) {
-    switchdev::SwitchDevice* sw = direction.switches[level].get();
-    direction.channels[level]->set_receiver(
-        [sw](sim::FlitEnvelope&& envelope) { sw->on_flit(std::move(envelope)); });
-    sw->set_output(direction.channels[level + 1].get());
-  }
-  direction.channels.back()->set_receiver(
-      [&rx](sim::FlitEnvelope&& envelope) { rx.on_flit(std::move(envelope)); });
-}
-
-void attach_traffic(Endpoint& tx, Endpoint& rx, Direction& direction,
-                    std::uint64_t flit_budget, std::uint64_t direction_salt) {
-  txn::StreamScoreboard* scoreboard = &direction.scoreboard;
-  tx.set_source([scoreboard, flit_budget, direction_salt](
-                    std::uint64_t index) -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= flit_budget) return std::nullopt;
-    std::vector<std::uint8_t> payload = make_payload(index, direction_salt);
-    scoreboard->register_sent(index, payload);
-    return payload;
-  });
-  rx.set_deliver([scoreboard](std::span<const std::uint8_t> payload,
-                              const sim::FlitEnvelope& envelope) {
-    scoreboard->on_deliver(payload, envelope);
-  });
-}
-
-DirectionReport report_direction(const FabricConfig& config,
-                                 const Direction& direction,
-                                 const Endpoint& tx, const Endpoint& rx,
-                                 std::uint64_t slots) {
+/// One direction's counters, read off make_switch_levels_dag's layout: one
+/// bidirectional domain (side a the host, side b the device), flow 0
+/// downstream and flow 1 upstream, each direction's L hubs and L+1 edges
+/// numbered consecutively, downstream first.
+DirectionReport report_direction(const DagReport& dag, unsigned levels,
+                                 bool downstream) {
+  const DagLinkStats& hop = dag.hops.front();
+  const std::size_t first_hub = downstream ? 2 : 2 + levels;
+  const std::size_t first_edge = downstream ? 0 : levels + 1;
   DirectionReport report;
-  report.tx = tx.stats();
-  report.rx = rx.stats();
-  report.tx_extra = tx.extra_stats();
-  report.rx_extra = rx.extra_stats();
-  report.scoreboard = direction.scoreboard.finalize();
-  for (const auto& sw : direction.switches) {
-    report.switch_dropped_fec += sw->stats().dropped_fec;
-    report.switch_dropped_crc += sw->stats().dropped_crc;
-    report.switch_fec_corrected += sw->stats().fec_corrected;
-    report.switch_internal_corruptions += sw->stats().internal_corruptions;
+  report.tx = downstream ? hop.a : hop.b;
+  report.rx = downstream ? hop.b : hop.a;
+  report.tx_extra = downstream ? hop.a_extra : hop.b_extra;
+  report.rx_extra = downstream ? hop.b_extra : hop.a_extra;
+  report.scoreboard = dag.flows[downstream ? 0 : 1].scoreboard;
+  for (const DagHubReport& hub : dag.hubs) {
+    if (hub.node < first_hub || hub.node >= first_hub + levels) continue;
+    report.switch_dropped_fec += hub.stats.dropped_fec;
+    report.switch_dropped_crc += hub.stats.dropped_crc;
+    report.switch_fec_corrected += hub.stats.fec_corrected;
+    report.switch_internal_corruptions += hub.stats.internal_corruptions;
   }
-  for (const auto& channel : direction.channels)
-    report.channel_flits_corrupted += channel->stats().flits_corrupted;
-  if (slots > 0) {
+  for (std::size_t e = first_edge; e <= first_edge + levels; ++e)
+    report.channel_flits_corrupted += dag.edges[e].flits_corrupted;
+  if (dag.slots > 0) {
     report.goodput = static_cast<double>(report.scoreboard.in_order) /
-                     static_cast<double>(slots);
+                     static_cast<double>(dag.slots);
     report.bandwidth_loss = 1.0 - report.goodput;
   }
-  (void)config;
   return report;
 }
 
 }  // namespace
 
 FabricReport run_fabric(const FabricConfig& config) {
-  assert(config.horizon > 0);
-  sim::EventQueue queue;
-  Xoshiro256 seeder(config.seed);
-
-  Endpoint host(queue, config.protocol, "host");
-  Endpoint device(queue, config.protocol, "device");
-
-  Direction downstream;
-  Direction upstream;
-  build_direction(queue, config, downstream, host, device, seeder);
-  build_direction(queue, config, upstream, device, host, seeder);
-
-  attach_traffic(host, device, downstream, config.downstream_flits,
-                 /*direction_salt=*/0x00D0);
-  attach_traffic(device, host, upstream, config.upstream_flits,
-                 /*direction_salt=*/0x0B0Bu);
-
-  host.kick();
-  device.kick();
-  queue.run_until(config.horizon);
-
+  const DagReport dag = run_dag_fabric(make_switch_levels_dag(config));
   FabricReport report;
   report.horizon = config.horizon;
-  report.slots = config.horizon / config.slot;
-  report.downstream =
-      report_direction(config, downstream, host, device, report.slots);
-  report.upstream =
-      report_direction(config, upstream, device, host, report.slots);
+  report.slots = dag.slots;
+  report.downstream = report_direction(dag, config.switch_levels, true);
+  report.upstream = report_direction(dag, config.switch_levels, false);
   return report;
-}
-
-std::string summarize(const FabricReport& report) {
-  char buf[512];
-  const auto& d = report.downstream.scoreboard;
-  const auto& u = report.upstream.scoreboard;
-  std::snprintf(
-      buf, sizeof buf,
-      "downstream: %llu in-order, %llu order-violations, %llu dups, "
-      "%llu corrupt | upstream: %llu in-order, %llu order-violations, "
-      "%llu dups, %llu corrupt | switch drops (fec) %llu/%llu",
-      static_cast<unsigned long long>(d.in_order),
-      static_cast<unsigned long long>(d.order_violations),
-      static_cast<unsigned long long>(d.duplicates),
-      static_cast<unsigned long long>(d.data_corruptions),
-      static_cast<unsigned long long>(u.in_order),
-      static_cast<unsigned long long>(u.order_violations),
-      static_cast<unsigned long long>(u.duplicates),
-      static_cast<unsigned long long>(u.data_corruptions),
-      static_cast<unsigned long long>(report.downstream.switch_dropped_fec),
-      static_cast<unsigned long long>(report.upstream.switch_dropped_fec));
-  return buf;
 }
 
 }  // namespace rxl::transport

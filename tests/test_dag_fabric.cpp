@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "rxl/link/credit.hpp"
 #include "rxl/sim/trial_runner.hpp"
@@ -27,6 +32,17 @@ DagConfig base_config_from(const DagScenarioSpec& spec) {
   config.seed = spec.seed;
   config.horizon = spec.horizon;
   return config;
+}
+
+/// plan_dag must throw std::invalid_argument naming `what`.
+void expect_rejection(const DagConfig& config, const std::string& what) {
+  try {
+    (void)plan_dag(config);
+    ADD_FAILURE() << "plan_dag accepted a config that should fail on " << what;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+        << "message: " << error.what();
+  }
 }
 
 DagScenarioSpec base_spec() {
@@ -153,20 +169,169 @@ TEST(DagFabric, RejectsDomainsMultiplexedOnOneHubEgress) {
   config.edges.push_back(plain_edge(2, 3));
   config.flows.push_back(DagFlow{0, 3, 10, 1});
   config.flows.push_back(DagFlow{1, 3, 10, 2});
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  config.horizon = 1'000'000;
+  expect_rejection(config, "multiplexed");
 }
 
-TEST(DagFabric, RejectsAdjacentHubs) {
-  DagConfig config;
+/// s -> h1 -> ... -> hN -> d, where every hub also has a decoy egress edge
+/// to an idle terminal: declared before the chain edge at even k (the chain
+/// leaves on port 1) and after it at odd k (port 0), so consecutive stages
+/// route on different tags. Node ids: s 0, d 1, hub k at 2 + 2k, its decoy
+/// sink at 3 + 2k; hub k's egress edges are 1 + 2k and 2 + 2k.
+DagConfig hub_chain_config(std::size_t hubs) {
+  DagConfig config = base_config_from(base_spec());
   config.nodes.push_back(DagNode{"s", DagNodeKind::kTerminal, {}});
-  config.nodes.push_back(DagNode{"hub0", DagNodeKind::kHub, {}});
-  config.nodes.push_back(DagNode{"hub1", DagNodeKind::kHub, {}});
   config.nodes.push_back(DagNode{"d", DagNodeKind::kTerminal, {}});
-  config.edges.push_back(plain_edge(0, 1));
-  config.edges.push_back(plain_edge(1, 2));
-  config.edges.push_back(plain_edge(2, 3));
-  config.flows.push_back(DagFlow{0, 3, 10, 1});
-  EXPECT_THROW(plan_dag(config), std::invalid_argument);
+  auto hub_id = [](std::size_t k) {
+    return static_cast<std::uint16_t>(2 + 2 * k);
+  };
+  for (std::size_t k = 0; k < hubs; ++k) {
+    std::string name = "h";
+    name += std::to_string(k + 1);
+    config.nodes.push_back(DagNode{std::move(name), DagNodeKind::kHub, {}});
+    std::string decoy = "idle";
+    decoy += std::to_string(k + 1);
+    config.nodes.push_back(
+        DagNode{std::move(decoy), DagNodeKind::kTerminal, {}});
+  }
+  config.edges.push_back(plain_edge(0, hub_id(0)));
+  for (std::size_t k = 0; k < hubs; ++k) {
+    const DagEdge decoy =
+        plain_edge(hub_id(k), static_cast<std::uint16_t>(hub_id(k) + 1));
+    const DagEdge chain =
+        plain_edge(hub_id(k), k + 1 < hubs ? hub_id(k + 1) : std::uint16_t{1});
+    config.edges.push_back(k % 2 == 0 ? decoy : chain);
+    config.edges.push_back(k % 2 == 0 ? chain : decoy);
+  }
+  config.flows.push_back(DagFlow{0, 1, 500, 0x4C});
+  return config;
+}
+
+TEST(DagFabric, PlansHubChainsWithPerStagePorts) {
+  for (const std::size_t hubs : {2u, 3u}) {
+    SCOPED_TRACE(hubs);
+    const DagConfig config = hub_chain_config(hubs);
+    const DagPlan plan = plan_dag(config);
+    ASSERT_EQ(plan.segments.size(), 1u);  // one ISN domain end to end
+    const DagPlan::Segment& segment = plan.segments.front();
+    EXPECT_EQ(segment.origin, 0u);
+    EXPECT_EQ(segment.peer, 1u);
+    EXPECT_EQ(segment.egress_edge, 0u);
+    ASSERT_EQ(segment.hubs.size(), hubs);
+    for (std::size_t k = 0; k < hubs; ++k) {
+      EXPECT_EQ(segment.hubs[k].hub, 2 + 2 * k);
+      EXPECT_EQ(segment.hubs[k].port, k % 2 == 0 ? 1u : 0u);
+      EXPECT_EQ(segment.hubs[k].edge, k % 2 == 0 ? 2 + 2 * k : 1 + 2 * k);
+    }
+    EXPECT_EQ(segment.ingress_edge, segment.hubs.back().edge);
+    EXPECT_FALSE(segment.mate.has_value());
+
+    // The tags route every flit down the chain and never into a decoy.
+    const DagReport report = run_dag_fabric(config);
+    EXPECT_EQ(report.flows.front().scoreboard.in_order, 500u);
+    EXPECT_EQ(report.misrouted, 0u);
+    ASSERT_EQ(report.hubs.size(), hubs);
+    for (const DagHubReport& hub : report.hubs) {
+      EXPECT_EQ(hub.stats.dropped_no_route, 0u);
+      EXPECT_GE(hub.stats.flits_forwarded, 500u);
+      EXPECT_EQ(hub.stats.flits_forwarded, hub.stats.flits_in);
+    }
+    ASSERT_EQ(report.edges.size(), config.edges.size());
+    for (std::size_t k = 0; k < hubs; ++k)  // decoys stay idle
+      EXPECT_EQ(report.edges[k % 2 == 0 ? 1 + 2 * k : 2 + 2 * k].flits_carried,
+                0u);
+  }
+}
+
+TEST(DagFabric, RejectsDomainsMultiplexedOnAnEdgeBetweenHubs) {
+  // A second source joins at h1 and leaves h2 for its own sink: both ISN
+  // domains would cross the h1 -> h2 edge into one hub port.
+  DagConfig config = hub_chain_config(2);  // s, d, h1 2, idle1, h2 4, idle2
+  config.nodes.push_back(DagNode{"s2", DagNodeKind::kTerminal, {}});  // 6
+  config.nodes.push_back(DagNode{"d2", DagNodeKind::kTerminal, {}});  // 7
+  config.edges.push_back(plain_edge(6, 2));
+  config.edges.push_back(plain_edge(4, 7));
+  config.flows.push_back(DagFlow{6, 7, 10, 0x4D});
+  expect_rejection(config, "multiplexed onto the edge into h2");
+}
+
+TEST(DagFabric, PairsMatesAcrossSeparateHubStacks) {
+  // The switch-level trial's downstream and upstream directions cross
+  // disjoint hub stacks yet form one bidirectional domain: mates pair by
+  // swapped origin and peer, not by shared hubs.
+  FabricConfig levels;
+  levels.switch_levels = 3;
+  levels.horizon = 1'000'000;
+  const DagPlan plan = plan_dag(make_switch_levels_dag(levels));
+  ASSERT_EQ(plan.segments.size(), 2u);
+  const std::uint16_t first_hub[] = {2, 5};  // down1..3, then up1..3
+  for (std::size_t i = 0; i < 2; ++i) {
+    const DagPlan::Segment& segment = plan.segments[i];
+    EXPECT_EQ(segment.mate, std::optional<std::uint32_t>(1 - i));
+    ASSERT_EQ(segment.hubs.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(segment.hubs[k].hub, first_hub[i] + k);
+      EXPECT_EQ(segment.hubs[k].port, 0u);  // one-port switch stages
+    }
+  }
+  // A reverse candidate is unique by construction: between two relays the
+  // return path would close a cycle in the switching core, and a terminal's
+  // single uplink and downlink each carry one domain direction.
+  DagConfig config = base_config_from(base_spec());
+  config.nodes.push_back(DagNode{"a", DagNodeKind::kTerminal, {}});  // 0
+  config.nodes.push_back(DagNode{"r0", DagNodeKind::kRelay, {}});    // 1
+  config.nodes.push_back(DagNode{"hub", DagNodeKind::kHub, {}});     // 2
+  config.nodes.push_back(DagNode{"r1", DagNodeKind::kRelay, {}});    // 3
+  config.nodes.push_back(DagNode{"b", DagNodeKind::kTerminal, {}});  // 4
+  for (const auto& [src, dst] :
+       {std::pair{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 3}, {3, 2}, {2, 1},
+        {1, 0}})
+    config.edges.push_back(plain_edge(static_cast<std::uint16_t>(src),
+                                      static_cast<std::uint16_t>(dst)));
+  config.flows.push_back(DagFlow{0, 4, 10, 0x51});
+  config.flows.push_back(DagFlow{4, 0, 10, 0x52});
+  expect_rejection(config, "cycle");
+}
+
+TEST(DagFabric, RejectsMalformedFieldsByName) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* field;
+    std::function<void(DagConfig&)> mutate;
+  };
+  const Case cases[] = {
+      {"slot", [](DagConfig& c) { c.slot = 0; }},
+      {"horizon", [](DagConfig& c) { c.horizon = 0; }},
+      {"edge 1 ber", [](DagConfig& c) { c.edges[1].ber = 1.5; }},
+      {"edge 1 ber", [](DagConfig& c) { c.edges[1].ber = -1.0; }},
+      {"edge 0 ber", [nan](DagConfig& c) { c.edges[0].ber = nan; }},
+      {"edge 1 burst_injection_rate",
+       [](DagConfig& c) { c.edges[1].burst_injection_rate = 2.0; }},
+      {"edge 0 burst_injection_rate",
+       [nan](DagConfig& c) { c.edges[0].burst_injection_rate = nan; }},
+      {"hub_internal_error_rate",
+       [](DagConfig& c) { c.hub_internal_error_rate = 1.5; }},
+      {"hub_internal_error_rate",
+       [](DagConfig& c) { c.hub_internal_error_rate = -0.1; }},
+      {"hub_internal_error_rate",
+       [nan](DagConfig& c) { c.hub_internal_error_rate = nan; }},
+  };
+  for (const Case& c : cases) {
+    DagConfig config = make_chain_dag(base_spec(), 1);
+    c.mutate(config);
+    expect_rejection(config, c.field);
+  }
+  // run_dag_fabric plans first, so a Release build cannot silently run a
+  // zero-horizon fabric either.
+  DagConfig config = make_chain_dag(base_spec(), 1);
+  config.horizon = 0;
+  EXPECT_THROW((void)run_dag_fabric(config), std::invalid_argument);
+  // The closed interval's ends are legal.
+  config = make_chain_dag(base_spec(), 1);
+  config.edges[0].ber = 1.0;
+  config.edges[1].burst_injection_rate = 0.0;
+  config.hub_internal_error_rate = 1.0;
+  EXPECT_NO_THROW((void)plan_dag(config));
 }
 
 TEST(DagFabric, RejectsZeroCreditEdge) {
@@ -242,7 +407,7 @@ TEST(DagFabric, ChainPlanIsOneDomainPerHop) {
   const DagPlan plan = plan_dag(config);
   ASSERT_EQ(plan.segments.size(), 4u);  // src-r1, r1-r2, r2-r3, r3-dst
   for (const DagPlan::Segment& segment : plan.segments) {
-    EXPECT_FALSE(segment.hub.has_value());
+    EXPECT_TRUE(segment.hubs.empty());
     EXPECT_FALSE(segment.mate.has_value());
     EXPECT_EQ(segment.egress_edge, segment.ingress_edge);
   }
@@ -274,7 +439,7 @@ TEST(DagFabric, StarPlanPairsEveryDomainThroughTheHub) {
   const DagPlan plan = plan_dag(config);
   ASSERT_EQ(plan.segments.size(), 6u);  // one per direction per pair
   for (const DagPlan::Segment& segment : plan.segments) {
-    EXPECT_TRUE(segment.hub.has_value());
+    EXPECT_EQ(segment.hubs.size(), 1u);
     EXPECT_TRUE(segment.mate.has_value());
   }
 }

@@ -35,7 +35,7 @@ Universe random_universe(std::uint64_t gen_seed) {
   spec.horizon = 200'000'000;  // 200 us: generous for every family below
 
   Universe universe;
-  switch (rng.bounded(4)) {
+  switch (rng.bounded(5)) {
     case 0: {
       const std::size_t relays = 1 + rng.bounded(6);
       universe.config = make_chain_dag(spec, relays);
@@ -50,10 +50,40 @@ Universe random_universe(std::uint64_t gen_seed) {
       universe.config = make_fat_tree_dag(spec);
       universe.family = "fat-tree";
       break;
-    default:
+    case 3:
       universe.config = make_asymmetric_dag(spec);
       universe.family = "asymmetric";
       break;
+    default: {
+      // Hub chains of 1-3 transparent switches per ISN domain: either a
+      // relay chain whose run of consecutive interior nodes are hubs, or
+      // the paper's bidirectional switch-level trial, whose directions
+      // cross separate hub stacks and pair into one domain.
+      const std::size_t hubs = 1 + rng.bounded(3);
+      if (rng.bounded(2) == 0) {
+        const std::size_t interior = hubs + rng.bounded(3);
+        DagConfig& config = universe.config = make_chain_dag(spec, interior);
+        const std::size_t first = 1 + rng.bounded(interior - hubs + 1);
+        for (std::size_t v = first; v < first + hubs; ++v) {
+          config.nodes[v].kind = DagNodeKind::kHub;
+          config.nodes[v].name = "hub";
+          config.nodes[v].name += std::to_string(v);
+        }
+      } else {
+        FabricConfig levels;
+        levels.protocol = spec.protocol;
+        levels.switch_levels = static_cast<unsigned>(hubs);
+        levels.ber = spec.ber;
+        levels.burst_injection_rate = spec.burst_injection_rate;
+        levels.seed = spec.seed;
+        levels.downstream_flits = spec.flits_per_flow;
+        levels.upstream_flits = spec.flits_per_flow;
+        levels.horizon = spec.horizon;
+        universe.config = make_switch_levels_dag(levels);
+      }
+      universe.family = "hub-chain";
+      break;
+    }
   }
   // A quarter of the universes get one extra-noisy edge: localized retry
   // storms must not break the end-to-end invariants either.
@@ -142,10 +172,14 @@ TEST_P(DagProperties, RxlExactlyOnceInOrderEverywhere) {
     return run_property_trial(base + 0x1000 * trial);
   });
   std::uint64_t noisy_universes = 0;
+  std::uint64_t hub_chain_universes = 0;
   for (const TrialOutcome& outcome : outcomes) {
     assert_rxl_invariants(outcome);
     if (outcome.hop_retransmissions > 0) noisy_universes += 1;
+    if (std::string(outcome.family) == "hub-chain") hub_chain_universes += 1;
   }
+  // Every batch covers transparent hub chains too.
+  EXPECT_GT(hub_chain_universes, 0u);
   // The sweep must not silently degenerate to clean channels: most batches
   // draw error mixes that force real per-hop retries.
   EXPECT_GT(noisy_universes, 4u);

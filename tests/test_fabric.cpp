@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "rxl/sim/trial_runner.hpp"
@@ -136,6 +137,23 @@ TEST(Fabric, ReportsChannelCapacity) {
   EXPECT_LE(report.downstream.goodput, 1.0);
 }
 
+TEST(Fabric, MalformedConfigFailsLoudly) {
+  // plan_dag rejects what would divide by zero (slot), simulate nothing
+  // (horizon) or is no probability (error rates outside [0, 1]).
+  FabricConfig config = base_config(Protocol::kRxl);
+  config.slot = 0;
+  EXPECT_THROW((void)run_fabric(config), std::invalid_argument);
+  config = base_config(Protocol::kRxl);
+  config.horizon = 0;
+  EXPECT_THROW((void)run_fabric(config), std::invalid_argument);
+  config = base_config(Protocol::kRxl);
+  config.burst_injection_rate = 2.0;
+  EXPECT_THROW((void)run_fabric(config), std::invalid_argument);
+  config = base_config(Protocol::kRxl);
+  config.switch_internal_error_rate = -1.0;
+  EXPECT_THROW((void)run_fabric(config), std::invalid_argument);
+}
+
 TEST(Fabric, DeterministicAcrossRunsAndWorkerCounts) {
   // The same config must reproduce exactly, whether the two trials run
   // serially or sharded across TrialRunner workers.
@@ -165,17 +183,6 @@ TEST(Fabric, DeterministicAcrossRunsAndWorkerCounts) {
             sharded[0].downstream.scoreboard.in_order);
   EXPECT_EQ(serial[0].downstream.switch_dropped_fec,
             sharded[0].downstream.switch_dropped_fec);
-}
-
-TEST(Fabric, SummaryMentionsKeyCounters) {
-  FabricConfig config = base_config(Protocol::kRxl);
-  config.downstream_flits = 1'000;
-  config.upstream_flits = 1'000;
-  config.horizon = 50'000'000;
-  const FabricReport report = run_fabric(config);
-  const std::string text = summarize(report);
-  EXPECT_NE(text.find("in-order"), std::string::npos);
-  EXPECT_NE(text.find("downstream"), std::string::npos);
 }
 
 // --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-// Switch behaviour: FEC correct/drop, CRC handling per protocol, internal
-// corruption semantics (the §6.3/§6.4 distinction).
-#include "rxl/switchdev/switch_device.hpp"
+// Transparent switch behaviour on a one-port PortSwitch (one direction of
+// one stage of the paper's multi-level trial): FEC correct/drop, CRC
+// handling per protocol, internal corruption semantics (the §6.3/§6.4
+// distinction), and the per-port tag rewrite that chains hubs.
+#include "rxl/switchdev/port_switch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "rxl/crc/isn_crc.hpp"
 #include "rxl/phy/error_model.hpp"
@@ -17,16 +21,17 @@ using transport::Protocol;
 
 struct Harness {
   sim::EventQueue queue;
-  std::optional<SwitchDevice> sw;
+  std::optional<PortSwitch> sw;
   std::optional<sim::LinkChannel> out;
   std::vector<sim::FlitEnvelope> received;
 
-  explicit Harness(const SwitchDevice::Config& config, std::uint64_t seed = 1) {
+  explicit Harness(PortSwitch::Config config, std::uint64_t seed = 1) {
+    config.ports = 1;
     sw.emplace(queue, config, seed);
     out.emplace(queue, std::make_unique<phy::NoErrors>(), seed + 1);
     out->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { received.push_back(envelope); });
-    sw->set_output(&*out);
+    sw->set_output(0, &*out);
   }
 };
 
@@ -41,8 +46,8 @@ sim::FlitEnvelope data_envelope(const FlitCodec& codec, std::uint16_t seq) {
   return envelope;
 }
 
-TEST(SwitchDevice, ForwardsPristineFlit) {
-  SwitchDevice::Config config;
+TEST(PortSwitch, ForwardsPristineFlit) {
+  PortSwitch::Config config;
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -54,8 +59,8 @@ TEST(SwitchDevice, ForwardsPristineFlit) {
   EXPECT_EQ(harness.sw->stats().dropped_fec, 0u);
 }
 
-TEST(SwitchDevice, ForwardLatencyApplied) {
-  SwitchDevice::Config config;
+TEST(PortSwitch, ForwardLatencyApplied) {
+  PortSwitch::Config config;
   config.forward_latency = 12'345;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -65,8 +70,8 @@ TEST(SwitchDevice, ForwardLatencyApplied) {
   EXPECT_EQ(harness.queue.now(), 12'345u + 2000u + 2000u);
 }
 
-TEST(SwitchDevice, CorrectsSingleSymbolAndRestoresPristine) {
-  SwitchDevice::Config config;
+TEST(PortSwitch, CorrectsSingleSymbolAndRestoresPristine) {
+  PortSwitch::Config config;
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -80,9 +85,9 @@ TEST(SwitchDevice, CorrectsSingleSymbolAndRestoresPristine) {
   EXPECT_EQ(harness.sw->stats().fec_corrected, 1u);
 }
 
-TEST(SwitchDevice, DropsUncorrectableSilently) {
+TEST(PortSwitch, DropsUncorrectableSilently) {
   // The silent flit drop at the heart of the paper: no NACK, no forward.
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kRxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kRxl);
@@ -97,10 +102,10 @@ TEST(SwitchDevice, DropsUncorrectableSilently) {
   EXPECT_EQ(harness.sw->stats().flits_forwarded, 0u);
 }
 
-TEST(SwitchDevice, CxlRegeneratesCrcOverInternalCorruption) {
+TEST(PortSwitch, CxlRegeneratesCrcOverInternalCorruption) {
   // CXL: internal corruption is re-signed by the switch's link-layer CRC —
   // the endpoint will accept corrupt data (Fail_data).
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kCxl;
   config.internal_error_rate = 1.0;  // corrupt every transit
   Harness harness(config, 99);
@@ -119,10 +124,10 @@ TEST(SwitchDevice, CxlRegeneratesCrcOverInternalCorruption) {
   EXPECT_FALSE(out == original);
 }
 
-TEST(SwitchDevice, RxlPreservesEcrcOverInternalCorruption) {
+TEST(PortSwitch, RxlPreservesEcrcOverInternalCorruption) {
   // RXL: the switch cannot re-sign; the stale ECRC travels on and the
   // endpoint's ISN check will reject the flit.
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kRxl;
   config.internal_error_rate = 1.0;
   Harness harness(config, 99);
@@ -139,10 +144,10 @@ TEST(SwitchDevice, RxlPreservesEcrcOverInternalCorruption) {
   EXPECT_TRUE(fec.decode(copy.bytes()).accepted());
 }
 
-TEST(SwitchDevice, CxlDropsOnLinkCrcMismatch) {
+TEST(PortSwitch, CxlDropsOnLinkCrcMismatch) {
   // A miscorrected-FEC image (valid codeword, wrong bytes) reaches the CXL
   // switch's CRC check and is dropped there.
-  SwitchDevice::Config config;
+  PortSwitch::Config config;
   config.protocol = Protocol::kCxl;
   Harness harness(config);
   FlitCodec codec(Protocol::kCxl);
@@ -157,14 +162,47 @@ TEST(SwitchDevice, CxlDropsOnLinkCrcMismatch) {
   EXPECT_EQ(harness.sw->stats().dropped_crc, 1u);
 }
 
-TEST(SwitchDevice, NoOutputConfiguredIsSafe) {
-  SwitchDevice::Config config;
+TEST(PortSwitch, NoOutputConfiguredIsSafe) {
+  PortSwitch::Config config;
   sim::EventQueue queue;
-  SwitchDevice sw(queue, config, 1);
+  config.ports = 1;
+  PortSwitch sw(queue, config, 1);
   FlitCodec codec(Protocol::kRxl);
   sw.on_flit(data_envelope(codec, 0));
   queue.run();
-  EXPECT_EQ(sw.stats().flits_forwarded, 1u);  // processed, nowhere to go
+  // Processed, nowhere to go: counted as an unroutable drop.
+  EXPECT_EQ(sw.stats().flits_in, 1u);
+  EXPECT_EQ(sw.stats().flits_forwarded, 0u);
+  EXPECT_EQ(sw.stats().dropped_no_route, 1u);
+}
+
+TEST(PortSwitch, EgressPortRewritesTagForTheNextStage) {
+  // A flit crosses a hub chain on one tag stamped at its origin: each
+  // egress port hands the next hub's port on as it forwards.
+  sim::EventQueue queue;
+  PortSwitch::Config config;
+  config.ports = 2;
+  PortSwitch sw(queue, config, 1);
+  sim::LinkChannel out0(queue, std::make_unique<phy::NoErrors>(), 2);
+  sim::LinkChannel out1(queue, std::make_unique<phy::NoErrors>(), 3);
+  std::vector<std::pair<int, std::uint16_t>> received;  // (port, tag)
+  out0.set_receiver([&](sim::FlitEnvelope&& envelope) {
+    received.emplace_back(0, envelope.dest_port);
+  });
+  out1.set_receiver([&](sim::FlitEnvelope&& envelope) {
+    received.emplace_back(1, envelope.dest_port);
+  });
+  sw.set_output(0, &out0, /*next_tag=*/7);
+  sw.set_output(1, &out1);
+  FlitCodec codec(Protocol::kRxl);
+  sim::FlitEnvelope to_port1 = data_envelope(codec, 0);
+  to_port1.dest_port = 1;
+  sw.on_flit(std::move(to_port1));
+  sw.on_flit(data_envelope(codec, 1));  // tag 0
+  queue.run();
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(received[0], std::make_pair(1, std::uint16_t{0}));
+  EXPECT_EQ(received[1], std::make_pair(0, std::uint16_t{7}));
 }
 
 }  // namespace

@@ -22,7 +22,8 @@
 //       All randomness flows through rxl::common (seeded Xoshiro256).
 //   R3  no std::function, heap `new`, make_unique/make_shared, or
 //       malloc/calloc in designated hot-path files (event kernel, link
-//       channel, ring queue, timer, flit/GF(256)/RS kernels). Placement
+//       channel, ring queue, timer, flit/GF(256)/RS kernels, the
+//       transparent hub switch). Placement
 //       new into inline storage (`::new (ptr) T` / `new (ptr) T`) is the
 //       sanctioned pattern and is not flagged.
 //   R4  no float/double in protocol/sim state headers (timestamps and
@@ -257,7 +258,8 @@ std::string basename_of(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/// R3: the event/link hot path plus the flit / GF(256) / RS kernels.
+/// R3: the event/link hot path, the flit / GF(256) / RS kernels, and the
+/// transparent hub every switched flit crosses.
 bool in_hot_path_scope(const std::string& rel) {
   static const std::set<std::string> kHotFiles = {
       "event_queue.hpp", "event_queue.cpp", "inline_event.hpp",
@@ -265,7 +267,8 @@ bool in_hot_path_scope(const std::string& rel) {
       "ring_queue.hpp", "timer.hpp", "gf256.hpp", "gf256.cpp",
       "flit.hpp", "flit.cpp", "flit68.hpp", "flit68.cpp",
       "flit_fec.hpp", "flit_fec.cpp", "reed_solomon.hpp",
-      "reed_solomon.cpp", "crc64.hpp", "crc64.cpp"};
+      "reed_solomon.cpp", "crc64.hpp", "crc64.cpp", "port_switch.hpp",
+      "port_switch.cpp"};
   return kHotFiles.count(basename_of(rel)) != 0;
 }
 
