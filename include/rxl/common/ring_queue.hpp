@@ -32,10 +32,20 @@ class RingQueue {
     assert(count_ > 0);
     return slots_[head_];
   }
+  [[nodiscard]] const T& front() const noexcept {
+    assert(count_ > 0);
+    return slots_[head_];
+  }
+
+  [[nodiscard]] const T& back() const noexcept {
+    assert(count_ > 0);
+    return slots_[(head_ + count_ - 1) & (slots_.size() - 1)];
+  }
 
   /// Read-only access to the i-th queued element (0 = front). Lets
-  /// management planes scan parked work (the relay reroute quiesce) without
-  /// disturbing FIFO order.
+  /// management planes scan parked work (the relay reroute quiesce) and
+  /// windowed buffers index by sequence distance without disturbing FIFO
+  /// order.
   [[nodiscard]] const T& at(std::size_t i) const noexcept {
     assert(i < count_);
     return slots_[(head_ + i) & (slots_.size() - 1)];
@@ -49,6 +59,12 @@ class RingQueue {
     head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
     return value;
+  }
+
+  /// Empties the queue, keeping its slots for reuse.
+  void clear() noexcept {
+    head_ = 0;
+    count_ = 0;
   }
 
  private:

@@ -1,16 +1,18 @@
-// Go-back-N replay buffer: fully-encoded flits awaiting acknowledgment.
+// Go-back-N replay buffer: flit frames awaiting acknowledgment.
 //
 // The transmitter keeps every sent-but-unacked flit so a NACK (or an ack
 // timeout) can replay the stream from any in-window sequence number. The
 // buffer is the resource whose size bounds ACK coalescing (§7.2.2): deeper
 // coalescing means acks arrive later, which means more flits held here.
+// Entries are the endpoint's unsealed frames (sim/flit_envelope.hpp); a
+// replay re-sends them unsealed with the entry's sequence number as fold.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
+#include "rxl/common/ring_queue.hpp"
 #include "rxl/flit/flit.hpp"
 #include "rxl/link/sequence.hpp"
 
@@ -36,7 +38,7 @@ class RetryBuffer {
   /// (the fabric uses it for the ground-truth stream index); `flow_tag`
   /// likewise rides along so a replay can restore the flit's flow identity
   /// (DAG relays route on it).
-  bool push(std::uint16_t seq, const flit::Flit& encoded,
+  bool push(std::uint16_t seq, const flit::Flit& frame,
             std::uint64_t user_tag = 0, std::uint16_t flow_tag = 0,
             std::uint8_t vc = 0);
 
@@ -63,22 +65,22 @@ class RetryBuffer {
   /// the go-back-N replay set. `visit(entry)` is called per entry.
   template <typename Visitor>
   void for_each_from(std::uint16_t from_seq, Visitor&& visit) const {
-    for (const Entry& entry : entries_) {
+    for_each([&](const Entry& entry) {
       if (seq_distance(from_seq, entry.seq) >= 0) visit(entry);
-    }
+    });
   }
 
   /// Visits every held entry oldest -> newest: the dead-hop drain order.
   template <typename Visitor>
   void for_each(Visitor&& visit) const {
-    for (const Entry& entry : entries_) visit(entry);
+    for (std::size_t i = 0; i < entries_.size(); ++i) visit(entries_.at(i));
   }
 
   /// True when any held entry carries `flow_tag` (the fabric's reroute
   /// quiesce probe: a hop still replaying a flow's flits is not drained).
   [[nodiscard]] bool holds_flow(std::uint16_t flow_tag) const noexcept {
-    for (const Entry& entry : entries_)
-      if (entry.flow_tag == flow_tag) return true;
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+      if (entries_.at(i).flow_tag == flow_tag) return true;
     return false;
   }
 
@@ -88,9 +90,10 @@ class RetryBuffer {
 
  private:
   std::size_t capacity_;
-  // Bounded by capacity_ (<= 512): push() refuses beyond it, so this deque
-  // can never grow without bound. rxl-lint: allow(R6)
-  std::deque<Entry> entries_;  ///< ordered oldest -> newest
+  /// Ordered oldest -> newest, with consecutive sequence numbers, so the
+  /// entry for `seq` sits at index seq_distance(oldest, seq). Bounded by
+  /// capacity_ (push() refuses beyond it); slots grow with peak occupancy.
+  RingQueue<Entry> entries_;
 };
 
 }  // namespace rxl::link

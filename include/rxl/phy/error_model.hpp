@@ -11,7 +11,9 @@
 //     detection experiment (E8).
 // All models mutate a raw flit image in place and report how many bits they
 // flipped, so the simulator can skip FEC/CRC work for untouched flits
-// without changing observable behaviour.
+// without changing observable behaviour. Every model is a content-
+// independent XOR (see ErrorModel), which lets the link channel run it on
+// a zeroed pattern and seal a flit's wire image only when it is struck.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +28,15 @@
 namespace rxl::phy {
 
 /// Abstract channel error process applied to each transiting flit image.
+///
+/// Contract: a model is a content-independent XOR. What it does to a flit
+/// — the bits it flips, the count it returns, the RNG draws it makes and
+/// the state it keeps — never depends on the image's bytes, so corrupting
+/// image X yields X ^ P where P is what the same call makes of an all-zero
+/// image. A return of 0 means the image was not written at all. The link
+/// channel depends on this: it runs the model on a zeroed pattern and
+/// seals and XORs a flit only when the count is nonzero
+/// (ErrorModels.ContentIndependentXor checks every model).
 class ErrorModel {
  public:
   virtual ~ErrorModel() = default;

@@ -75,4 +75,8 @@ class FlitFec {
   ReedSolomon code83_;  ///< k = 83 (sub-blocks 1, 2)
 };
 
+/// Process-wide shared codec (tables built once; stateless afterwards, so
+/// safe to use from every trial thread).
+[[nodiscard]] const FlitFec& shared_flit_fec();
+
 }  // namespace rxl::rs

@@ -5,12 +5,18 @@
 // channel enforces that slot rate (senders queue when the wire is busy),
 // applies an ErrorModel to the transiting image, and delivers to the
 // receiver after the propagation latency.
+//
+// Every ErrorModel is a content-independent XOR, so the channel runs it on
+// a zeroed error pattern rather than on the image: a flit the model leaves
+// alone is delivered as sent — unsealed if it was sent unsealed — and only
+// a struck flit is sealed (see flit_envelope.hpp) before the pattern is
+// XORed in.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <utility>
 
 #include "rxl/common/ring_queue.hpp"
@@ -21,45 +27,10 @@
 #include "rxl/phy/error_model.hpp"
 #include "rxl/sim/event_queue.hpp"
 #include "rxl/sim/fault_plan.hpp"
+#include "rxl/sim/flit_envelope.hpp"
 #include "rxl/sim/inline_delegate.hpp"
 
 namespace rxl::sim {
-
-/// A flit in flight, with simulation-only ground-truth metadata that no
-/// protocol logic may read (it exists so the simulator can skip FEC/CRC
-/// work on untouched images and so scoreboards can classify failures).
-struct FlitEnvelope {
-  flit::Flit flit;
-  /// True while the image is bit-identical to what the last encoder wrote.
-  /// Any ErrorModel flip clears it; a successful FEC correction back to the
-  /// original image restores it (verified by fingerprint).
-  bool pristine = true;
-  /// Fingerprint of the image as encoded by the last writer (TX endpoint or
-  /// switch re-encode), for pristine restoration after FEC correction.
-  std::uint64_t origin_fingerprint = 0;
-  /// Ground truth for scoreboards: global stream index assigned by the
-  /// sending endpoint's application layer (data flits only).
-  std::uint64_t truth_index = 0;
-  bool has_truth = false;
-  /// Destination routing tag consumed by multi-port switches. Stands in
-  /// for the transaction-layer address lookup of a real CXL switch; the
-  /// protocol logic never reads it.
-  std::uint16_t dest_port = 0;
-  /// Flow identity tag consumed by DAG relays (next-hop lookup) and flow
-  /// sinks (per-flow scoreboard demux). Like dest_port it stands in for an
-  /// address/stream lookup; the link protocol never reads it, and relays
-  /// preserve it when a flit is re-originated on the next hop.
-  std::uint16_t flow_id = 0;
-};
-
-// Envelopes park in RingQueues (channel in-flight, switch forwarding,
-// reorder buffers) and are moved by plain block copy: they must stay
-// trivially copyable, and their footprint is budgeted at the 256 B wire
-// image plus one cache line of simulation metadata.
-static_assert(std::is_trivially_copyable_v<FlitEnvelope>,
-              "FlitEnvelope rides RingQueues as a block copy");
-static_assert(sizeof(FlitEnvelope) <= kFlitBytes + 64,
-              "FlitEnvelope metadata outgrew its one-cache-line budget");
 
 /// Per-channel occupancy and error statistics.
 struct ChannelStats {
@@ -146,6 +117,8 @@ class LinkChannel {
   /// scheduled [this] events pop this FIFO in exactly the order the heap
   /// fires them — and the 256 B envelope never rides inside an event.
   RingQueue<FlitEnvelope> in_flight_;
+  /// Error pattern the model writes into; all zero between sends.
+  std::array<std::uint8_t, kFlitBytes> pattern_{};
   ChannelStats stats_;
   obs::TraceSink* trace_ = nullptr;  ///< flit-lifecycle sink (null = off)
   std::uint16_t trace_component_ = 0;

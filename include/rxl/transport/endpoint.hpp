@@ -257,6 +257,8 @@ class Endpoint {
  private:
   // TX path.
   bool send_one();
+  [[nodiscard]] sim::FlitEnvelope replay_envelope(
+      const link::RetryBuffer::Entry& entry) const;
   void send_data_flit(std::span<const std::uint8_t> payload,
                       std::uint64_t truth_index, std::uint16_t flow_id,
                       std::uint8_t vc);
@@ -299,7 +301,7 @@ class Endpoint {
 
   // RX path.
   void rx_data(sim::FlitEnvelope&& envelope);
-  void rx_control(const flit::Flit& flit);
+  void rx_control(const sim::FlitEnvelope& envelope);
   void process_acknum(std::uint16_t acknum);
   void process_nack(std::uint16_t last_good);
   void send_nack();

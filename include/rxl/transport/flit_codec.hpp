@@ -12,6 +12,12 @@
 //    and stream position.
 // Both stacks then apply the same 3-way interleaved RS FEC over the first
 // 250 bytes.
+//
+// Encoding is two steps: frame (header + payload) and seal (CRC + FEC, see
+// sim/flit_envelope.hpp). Endpoints transmit unsealed frames and the
+// simulator seals one only when an error strikes it; encode_* is frame +
+// seal, the full wire image. The envelope checks decide an unsealed frame
+// from its fold alone and give the verdict the CRC would.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +28,7 @@
 #include "rxl/crc/isn_crc.hpp"
 #include "rxl/flit/flit.hpp"
 #include "rxl/rs/flit_fec.hpp"
+#include "rxl/sim/flit_envelope.hpp"
 #include "rxl/transport/config.hpp"
 
 namespace rxl::transport {
@@ -71,13 +78,34 @@ struct RxCheck {
 };
 
 /// Stateless encoder/checker used by endpoints. One instance per endpoint;
-/// shares the process-wide CRC tables and owns a FlitFec codec.
+/// shares the process-wide CRC tables and FlitFec codec.
 class FlitCodec {
  public:
   explicit FlitCodec(Protocol protocol);
 
   [[nodiscard]] Protocol protocol() const noexcept { return protocol_; }
-  [[nodiscard]] const rs::FlitFec& fec() const noexcept { return fec_; }
+  [[nodiscard]] const rs::FlitFec& fec() const noexcept {
+    return rs::shared_flit_fec();
+  }
+
+  /// The value sealing folds into a data flit's CRC: `seq` for RXL (ISN),
+  /// 0 for CXL.
+  [[nodiscard]] std::uint16_t data_fold(std::uint16_t seq) const noexcept {
+    return protocol_ == Protocol::kRxl
+               ? static_cast<std::uint16_t>(seq & kSeqMask)
+               : std::uint16_t{0};
+  }
+
+  /// Unsealed data frame: header and payload as encode_data writes them,
+  /// bytes 242..255 zero. Seal it with data_fold(seq).
+  [[nodiscard]] flit::Flit frame_data(
+      std::span<const std::uint8_t> payload, std::uint16_t seq,
+      std::optional<std::uint16_t> acknum) const;
+
+  /// Unsealed control frame (fold 0); see encode_control.
+  [[nodiscard]] flit::Flit frame_control(flit::ReplayCmd command,
+                                         std::uint16_t fsn,
+                                         const ControlCreditStamp& stamp) const;
 
   /// Builds a fully encoded data flit.
   /// @param payload 240 B application payload.
@@ -113,6 +141,15 @@ class FlitCodec {
   /// Control flits are sequence-less in both stacks: plain CRC check.
   [[nodiscard]] bool check_control(const flit::Flit& flit) const;
 
+  /// check_data for an envelope: a sealed one is checked as above; an
+  /// unsealed one gets the verdict its sealed image would, without the CRC
+  /// (RXL: pass iff isn_fold == expected_seq mod 1024; CXL: pass).
+  [[nodiscard]] RxCheck check_data(const sim::FlitEnvelope& envelope,
+                                   std::uint16_t expected_seq) const;
+
+  /// check_control for an envelope: an unsealed one always passes.
+  [[nodiscard]] bool check_control(const sim::FlitEnvelope& envelope) const;
+
   /// Recomputes the link-layer CRC in place (baseline CXL switches do this
   /// when regenerating a flit; the call is what *masks* switch-internal
   /// corruption in CXL).
@@ -124,7 +161,6 @@ class FlitCodec {
  private:
   Protocol protocol_;
   crc::IsnCrc isn_;
-  rs::FlitFec fec_;
 };
 
 }  // namespace rxl::transport

@@ -17,13 +17,13 @@ std::optional<std::uint16_t> RetryBuffer::oldest_seq() const noexcept {
   return entries_.front().seq;
 }
 
-bool RetryBuffer::push(std::uint16_t seq, const flit::Flit& encoded,
+bool RetryBuffer::push(std::uint16_t seq, const flit::Flit& frame,
                        std::uint64_t user_tag, std::uint16_t flow_tag,
                        std::uint8_t vc) {
   if (full()) return false;
   assert(entries_.empty() || seq_next(entries_.back().seq) == (seq & kSeqMask));
   entries_.push_back(Entry{static_cast<std::uint16_t>(seq & kSeqMask), flow_tag,
-                           vc, user_tag, encoded});
+                           vc, user_tag, frame});
   return true;
 }
 
@@ -33,7 +33,7 @@ std::size_t RetryBuffer::ack_up_to(std::uint16_t acked_seq) {
          seq_distance(entries_.front().seq, acked_seq) >= 0 &&
          seq_distance(entries_.front().seq, acked_seq) <
              static_cast<int>(kSeqModulus / 2)) {
-    entries_.pop_front();
+    (void)entries_.pop_front();
     ++released;
   }
   return released;
@@ -45,10 +45,12 @@ const flit::Flit* RetryBuffer::find(std::uint16_t seq) const {
 }
 
 const RetryBuffer::Entry* RetryBuffer::find_entry(std::uint16_t seq) const {
-  for (const Entry& entry : entries_) {
-    if (entry.seq == (seq & kSeqMask)) return &entry;
-  }
-  return nullptr;
+  if (entries_.empty()) return nullptr;
+  const int index = seq_distance(entries_.front().seq,
+                                 static_cast<std::uint16_t>(seq & kSeqMask));
+  if (index < 0 || static_cast<std::size_t>(index) >= entries_.size())
+    return nullptr;
+  return &entries_.at(static_cast<std::size_t>(index));
 }
 
 }  // namespace rxl::link

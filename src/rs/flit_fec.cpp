@@ -20,6 +20,11 @@ namespace rxl::rs {
 
 FlitFec::FlitFec() : code84_(84, 2), code83_(83, 2) {}
 
+const FlitFec& shared_flit_fec() {
+  static const FlitFec codec;
+  return codec;
+}
+
 void FlitFec::encode(std::span<std::uint8_t> flit) const {
   assert(flit.size() == kFlitBytes);
   for (std::size_t lane = 0; lane < 3; ++lane) {

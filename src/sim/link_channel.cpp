@@ -1,6 +1,8 @@
 #include "rxl/sim/link_channel.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
 
 namespace rxl::sim {
@@ -52,8 +54,12 @@ TimePs LinkChannel::send(FlitEnvelope envelope) {
   }
   stats_.flits_carried += 1;
 
-  const std::size_t flipped = errors_->corrupt(envelope.flit.bytes(), rng_);
+  const std::size_t flipped = errors_->corrupt(pattern_, rng_);
   if (flipped > 0) {
+    seal(envelope);
+    std::span<std::uint8_t, kFlitBytes> image = envelope.flit.bytes();
+    for (std::size_t i = 0; i < kFlitBytes; ++i) image[i] ^= pattern_[i];
+    pattern_.fill(0);
     envelope.pristine = false;
     stats_.flits_corrupted += 1;
     stats_.bits_flipped += flipped;

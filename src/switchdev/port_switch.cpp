@@ -26,6 +26,7 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
 
   // --- Ingress FEC. Pristine images are valid codewords by construction
   // (zero syndromes), so the decode is skipped without changing behaviour.
+  // An unsealed image is pristine, so it passes both ingress checks as is.
   if (!envelope.pristine) {
     const rs::FecDecodeResult fec = codec_.fec().decode(envelope.flit.bytes());
     if (!fec.accepted()) {
@@ -52,10 +53,12 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   }
 
   // --- Internal corruption (buffer upset / switching-logic error) strikes
-  // between ingress checks and egress regeneration.
+  // between ingress checks and egress regeneration. An unsealed image gets
+  // its CRC and FEC first, so the flip lands on the full wire image.
   if (config_.internal_error_rate > 0.0 &&
       rng_.bernoulli(config_.internal_error_rate)) {
     stats_.internal_corruptions += 1;
+    sim::seal(envelope);
     flip_bit(envelope.flit.bytes(),
              rng_.bounded((kHeaderBytes + kPayloadBytes) * 8));
     envelope.pristine = false;

@@ -82,8 +82,7 @@ bool Endpoint::send_one() {
     sim::FlitEnvelope envelope;
     envelope.flit = control_queue_.front();
     control_queue_.pop_front();
-    envelope.pristine = true;
-    envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
+    envelope.sealed = false;  // control flits fold 0
     envelope.dest_port = dest_port_;
     stats_.control_flits_sent += 1;
     output_->send(std::move(envelope));
@@ -97,14 +96,7 @@ bool Endpoint::send_one() {
       single_resends_.pop_front();  // already acked/freed; skip
       continue;
     }
-    sim::FlitEnvelope envelope;
-    envelope.flit = entry->flit;
-    envelope.pristine = true;
-    envelope.origin_fingerprint = flit::flit_fingerprint(entry->flit);
-    envelope.truth_index = entry->user_tag;
-    envelope.has_truth = true;
-    envelope.dest_port = dest_port_;
-    envelope.flow_id = entry->flow_tag;
+    sim::FlitEnvelope envelope = replay_envelope(*entry);
     single_resends_.pop_front();
     stats_.data_flits_retransmitted += 1;
     trace(obs::TraceEventKind::kRetry, entry->user_tag, entry->flow_tag, seq,
@@ -119,14 +111,7 @@ bool Endpoint::send_one() {
     if (entry == nullptr) {
       replay_cursor_.reset();
     } else {
-      sim::FlitEnvelope envelope;
-      envelope.flit = entry->flit;
-      envelope.pristine = true;
-      envelope.origin_fingerprint = flit::flit_fingerprint(entry->flit);
-      envelope.truth_index = entry->user_tag;
-      envelope.has_truth = true;
-      envelope.dest_port = dest_port_;
-      envelope.flow_id = entry->flow_tag;
+      sim::FlitEnvelope envelope = replay_envelope(*entry);
       const std::uint16_t next = link::seq_next(entry->seq);
       replay_cursor_ =
           retry_buffer_.find(next) ? std::optional<std::uint16_t>(next)
@@ -209,34 +194,48 @@ void Endpoint::note_ecn_stall() {
     credit_probe_timer_.arm(config_.retry_timeout);
 }
 
+sim::FlitEnvelope Endpoint::replay_envelope(
+    const link::RetryBuffer::Entry& entry) const {
+  sim::FlitEnvelope envelope;
+  envelope.flit = entry.flit;
+  envelope.sealed = false;
+  envelope.isn_fold = codec_.data_fold(entry.seq);
+  envelope.truth_index = entry.user_tag;
+  envelope.has_truth = true;
+  envelope.dest_port = dest_port_;
+  envelope.flow_id = entry.flow_tag;
+  return envelope;
+}
+
 void Endpoint::send_data_flit(std::span<const std::uint8_t> payload,
                               std::uint64_t truth_index,
                               std::uint16_t flow_id, std::uint8_t vc) {
   const std::uint16_t seq = next_seq_;
-  // The canonical (replayable) image always carries the explicit/implicit
-  // SeqNum with no piggybacked ACK; the wire image on first transmission
-  // may substitute an AckNum into the FSN field.
-  const flit::Flit canonical = codec_.encode_data(payload, seq, std::nullopt);
-
   std::optional<std::uint16_t> acknum;
   if (config_.ack_policy == link::AckPolicy::kPiggyback &&
       ack_scheduler_.pending()) {
     acknum = ack_scheduler_.consume();
   }
 
+  // Both images go out unsealed (see sim::FlitEnvelope::sealed). The
+  // canonical (replayable) frame always carries the explicit/implicit
+  // SeqNum with no piggybacked ACK; the wire frame on first transmission
+  // may substitute an AckNum into the FSN field.
   sim::FlitEnvelope envelope;
-  envelope.flit =
-      acknum.has_value() ? codec_.encode_data(payload, seq, acknum) : canonical;
-  envelope.pristine = true;
-  envelope.origin_fingerprint = flit::flit_fingerprint(envelope.flit);
+  envelope.flit = codec_.frame_data(payload, seq, acknum);
+  envelope.sealed = false;
+  envelope.isn_fold = codec_.data_fold(seq);
   envelope.truth_index = truth_index;
   envelope.has_truth = true;
   envelope.dest_port = dest_port_;
   envelope.flow_id = flow_id;
   if (acknum.has_value()) stats_.acks_piggybacked += 1;
 
-  const bool pushed =
-      retry_buffer_.push(seq, canonical, truth_index, flow_id, vc);
+  const bool pushed = retry_buffer_.push(
+      seq,
+      acknum.has_value() ? codec_.frame_data(payload, seq, std::nullopt)
+                         : envelope.flit,
+      truth_index, flow_id, vc);
   assert(pushed);
   (void)pushed;
   if (credit_windows_.enabled()) {
@@ -269,7 +268,7 @@ void Endpoint::enqueue_control(flit::ReplayCmd command, std::uint16_t fsn) {
   }
   const ControlCreditStamp stamp{
       std::span<const std::uint16_t>(words.data(), stamped), ecn_local_marks_};
-  control_queue_.push_back(codec_.encode_control(command, fsn, stamp));
+  control_queue_.push_back(codec_.frame_control(command, fsn, stamp));
 }
 
 void Endpoint::begin_replay_from(std::uint16_t seq) {
@@ -535,8 +534,9 @@ void Endpoint::on_flit(sim::FlitEnvelope&& envelope) {
 
   // Link-layer FEC at the endpoint's own ingress. Pristine images are valid
   // codewords by construction, so decode is skipped without changing
-  // behaviour.
+  // behaviour. Only a sealed image can have been struck.
   if (!envelope.pristine) {
+    assert(envelope.sealed);
     const rs::FecDecodeResult fec = codec_.fec().decode(envelope.flit.bytes());
     if (!fec.accepted()) {
       stats_.flits_discarded_fec += 1;
@@ -559,12 +559,12 @@ void Endpoint::on_flit(sim::FlitEnvelope&& envelope) {
     // Control, idle, or a data flit whose Type bits were corrupted: the
     // CRC decides (rx_control NACKs on mismatch so no gap goes
     // unsignalled).
-    rx_control(envelope.flit);
+    rx_control(envelope);
   }
 }
 
 void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
-  const RxCheck check = codec_.check_data(envelope.flit, expected_seq_);
+  const RxCheck check = codec_.check_data(envelope, expected_seq_);
   if (!check.crc_ok) {
     // RXL: corruption OR sequence mismatch (drop/stale) — same response.
     // CXL: corruption only.
@@ -676,8 +676,8 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
   after_delivery(envelope.flow_id);
 }
 
-void Endpoint::rx_control(const flit::Flit& flit) {
-  if (!codec_.check_control(flit)) {
+void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
+  if (!codec_.check_control(envelope)) {
     // A CRC-failed flit of ANY apparent type triggers a retry request: the
     // header (and with it the Type field) is untrustworthy, so this may
     // have been a data flit whose type bits were corrupted. Without the
@@ -689,6 +689,7 @@ void Endpoint::rx_control(const flit::Flit& flit) {
     send_nack();
     return;
   }
+  const flit::Flit& flit = envelope.flit;
   const flit::FlitHeader header = flit.header();
   for (std::size_t vc = 0; vc < credit_windows_.num_vcs(); ++vc)
     process_vc_credit_word(vc, control_vc_credit_word(flit, vc));

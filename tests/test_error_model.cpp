@@ -285,5 +285,73 @@ TEST(DfeBurstErrors, PropagationRunClampsAtTheFlitBoundary) {
   }
 }
 
+// The contract the link channel's lazy sealing rests on (ErrorModel doc):
+// every model is a content-independent XOR. Two instances with equal seeds,
+// one fed zero images and one fed random images, must return the same flip
+// counts, flip the same bits, and leave their RNGs at the same next draw.
+std::vector<std::pair<const char*, std::unique_ptr<ErrorModel>>> all_models() {
+  std::vector<std::pair<const char*, std::unique_ptr<ErrorModel>>> models;
+  models.emplace_back("Independent",
+                      std::make_unique<IndependentBitErrors>(2e-3));
+  models.emplace_back("DFE", std::make_unique<DfeBurstErrors>(1e-3, 0.5));
+  GilbertElliott::Params params;
+  params.p_good_to_bad = 1e-3;
+  params.p_bad_to_good = 5e-2;
+  params.ber_good = 1e-4;
+  params.ber_bad = 0.3;
+  models.emplace_back("GilbertElliott",
+                      std::make_unique<GilbertElliott>(params));
+  models.emplace_back("SymbolBurst", std::make_unique<SymbolBurstInjector>(4));
+  models.emplace_back("BernoulliGate",
+                      std::make_unique<BernoulliGate>(
+                          0.3, std::make_unique<SymbolBurstInjector>(2)));
+  std::vector<std::unique_ptr<ErrorModel>> parts;
+  parts.push_back(std::make_unique<IndependentBitErrors>(1e-3));
+  parts.push_back(std::make_unique<BernoulliGate>(
+      0.2, std::make_unique<DfeBurstErrors>(5e-3, 0.7)));
+  models.emplace_back("Composite",
+                      std::make_unique<CompositeErrorModel>(std::move(parts)));
+  models.emplace_back("TargetedDoubleError",
+                      std::make_unique<TargetedDoubleError>(7));
+  return models;
+}
+
+TEST(ErrorModels, ContentIndependentXor) {
+  auto on_zero = all_models();
+  auto on_random = all_models();
+  ASSERT_EQ(on_zero.size(), 7u);
+  for (std::size_t m = 0; m < on_zero.size(); ++m) {
+    SCOPED_TRACE(on_zero[m].first);
+    Xoshiro256 rng_zero(40 + m);
+    Xoshiro256 rng_random(40 + m);
+    Xoshiro256 content(90 + m);
+    std::size_t struck = 0;
+    for (int flit = 0; flit < 400; ++flit) {
+      Buffer zero{};
+      Buffer image{};
+      for (auto& byte : image)
+        byte = static_cast<std::uint8_t>(content.bounded(256));
+      const Buffer original = image;
+      const std::size_t zero_flips = on_zero[m].second->corrupt(zero, rng_zero);
+      const std::size_t image_flips =
+          on_random[m].second->corrupt(image, rng_random);
+      ASSERT_EQ(zero_flips, image_flips) << "flit " << flit;
+      Buffer difference{};
+      for (std::size_t i = 0; i < kFlitBytes; ++i)
+        difference[i] = static_cast<std::uint8_t>(image[i] ^ original[i]);
+      ASSERT_EQ(difference, zero) << "flit " << flit;
+      // A zero count means the image was not written at all.
+      if (zero_flips == 0) {
+        ASSERT_EQ(popcount(zero), 0u) << "flit " << flit;
+      }
+      Xoshiro256 next_zero = rng_zero;
+      Xoshiro256 next_random = rng_random;
+      ASSERT_EQ(next_zero(), next_random()) << "flit " << flit;
+      if (zero_flips > 0) ++struck;
+    }
+    EXPECT_GT(struck, 0u);  // the model was exercised, not just idle
+  }
+}
+
 }  // namespace
 }  // namespace rxl::phy

@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "rxl/common/rng.hpp"
+#include "rxl/crc/isn_crc.hpp"
+#include "rxl/rs/flit_fec.hpp"
+#include "rxl/sim/flit_envelope.hpp"
 
 namespace rxl::transport {
 namespace {
@@ -131,6 +137,115 @@ TEST(FlitCodec, RxlSequenceSurvivesHeaderAckRewrite) {
   EXPECT_NE(with_ack.crc_field(), without_ack.crc_field());
   EXPECT_TRUE(codec.check_data(with_ack, 16).crc_ok);
   EXPECT_TRUE(codec.check_data(without_ack, 16).crc_ok);
+}
+
+// The full encoder as it stood before framing and sealing were split: the
+// CRC of header + payload with the fold, then RS parity from a fresh codec.
+flit::Flit reference_encode(flit::Flit frame, std::uint16_t fold) {
+  const crc::IsnCrc isn;
+  frame.set_crc_field(isn.encode(frame.crc_protected_region(), fold));
+  const rs::FlitFec fec;
+  fec.encode(frame.bytes());
+  return frame;
+}
+
+sim::FlitEnvelope unsealed(const flit::Flit& frame, std::uint16_t fold) {
+  sim::FlitEnvelope envelope;
+  envelope.flit = frame;
+  envelope.sealed = false;
+  envelope.isn_fold = fold;
+  return envelope;
+}
+
+sim::FlitEnvelope sealed_copy(sim::FlitEnvelope envelope) {
+  sim::seal(envelope);
+  return envelope;
+}
+
+// Linearity (§5, §7.3) lets a receiver decide an untouched RXL data flit
+// from its fold alone. Pinned exhaustively: for every (sent, expected)
+// pair, with and without a piggybacked AckNum, the unsealed verdict equals
+// the real CRC check on the sealed image, and sealing writes exactly the
+// bytes the full encoder writes.
+TEST(FlitCodec, UnsealedRxlVerdictEqualsCrcForAllSequencePairs) {
+  const FlitCodec codec(Protocol::kRxl);
+  const auto payload = random_payload(30);
+  for (const std::optional<std::uint16_t> acknum :
+       {std::optional<std::uint16_t>{}, std::optional<std::uint16_t>{700}}) {
+    SCOPED_TRACE(acknum.has_value() ? "piggybacked AckNum" : "no AckNum");
+    std::size_t mismatches = 0;
+    std::size_t passes = 0;
+    for (std::uint16_t sent = 0; sent < kSeqModulus; ++sent) {
+      const sim::FlitEnvelope envelope = unsealed(
+          codec.frame_data(payload, sent, acknum), codec.data_fold(sent));
+      const sim::FlitEnvelope sealed = sealed_copy(envelope);
+      ASSERT_EQ(sealed.flit, codec.encode_data(payload, sent, acknum));
+      ASSERT_EQ(sealed.flit, reference_encode(envelope.flit, sent));
+      ASSERT_EQ(sealed.origin_fingerprint, flit::flit_fingerprint(sealed.flit));
+      for (std::uint16_t expected = 0; expected < kSeqModulus; ++expected) {
+        const bool fast = codec.check_data(envelope, expected).crc_ok;
+        const bool real = codec.check_data(sealed.flit, expected).crc_ok;
+        mismatches += fast != real ? 1 : 0;
+        passes += real ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(passes, kSeqModulus);  // exactly the aligned pairs pass
+  }
+}
+
+TEST(FlitCodec, UnsealedCxlAndControlVerdictsEqualCrc) {
+  const auto payload = random_payload(31);
+  const FlitCodec cxl(Protocol::kCxl);
+  for (const std::optional<std::uint16_t> acknum :
+       {std::optional<std::uint16_t>{}, std::optional<std::uint16_t>{700}}) {
+    for (std::uint16_t sent = 0; sent < kSeqModulus; ++sent) {
+      const sim::FlitEnvelope envelope = unsealed(
+          cxl.frame_data(payload, sent, acknum), cxl.data_fold(sent));
+      ASSERT_EQ(envelope.isn_fold, 0);
+      const sim::FlitEnvelope sealed = sealed_copy(envelope);
+      ASSERT_EQ(sealed.flit, cxl.encode_data(payload, sent, acknum));
+      ASSERT_EQ(sealed.flit, reference_encode(envelope.flit, 0));
+      for (const std::uint16_t expected :
+           {sent, static_cast<std::uint16_t>((sent + 1) & kSeqMask)}) {
+        const RxCheck fast = cxl.check_data(envelope, expected);
+        const RxCheck real = cxl.check_data(sealed.flit, expected);
+        ASSERT_EQ(fast.crc_ok, real.crc_ok);
+        ASSERT_EQ(fast.explicit_seq, real.explicit_seq);
+      }
+    }
+  }
+  const std::array<std::uint16_t, 3> words{0xBEEF, 7, 0};
+  for (const Protocol protocol : {Protocol::kCxl, Protocol::kRxl}) {
+    const FlitCodec codec(protocol);
+    for (const flit::ReplayCmd command :
+         {flit::ReplayCmd::kSeqNum, flit::ReplayCmd::kAck,
+          flit::ReplayCmd::kNackGoBackN, flit::ReplayCmd::kNackSingle}) {
+      for (const std::uint16_t fsn : {0, 1, 513, 1023}) {
+        const ControlCreditStamp stamp{words, 0x5};
+        const sim::FlitEnvelope envelope =
+            unsealed(codec.frame_control(command, fsn, stamp), 0);
+        const sim::FlitEnvelope sealed = sealed_copy(envelope);
+        ASSERT_EQ(sealed.flit, codec.encode_control(command, fsn, stamp));
+        ASSERT_EQ(sealed.flit, reference_encode(envelope.flit, 0));
+        ASSERT_TRUE(codec.check_control(sealed.flit));
+        ASSERT_EQ(codec.check_control(envelope),
+                  codec.check_control(sealed.flit));
+      }
+    }
+  }
+}
+
+TEST(FlitCodec, SealIsANoOpOnSealedEnvelopes) {
+  const FlitCodec codec(Protocol::kRxl);
+  sim::FlitEnvelope envelope;
+  envelope.flit = codec.encode_data(random_payload(32), 3, std::nullopt);
+  envelope.flit.payload()[5] ^= 0x10;  // a struck, already-sealed image
+  envelope.origin_fingerprint = 42;
+  const sim::FlitEnvelope before = envelope;
+  sim::seal(envelope);
+  EXPECT_EQ(envelope.flit, before.flit);
+  EXPECT_EQ(envelope.origin_fingerprint, 42u);
 }
 
 class FlitCodecSeqSweep : public ::testing::TestWithParam<std::uint16_t> {};

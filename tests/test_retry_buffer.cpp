@@ -92,5 +92,44 @@ TEST(RetryBuffer, FindEntryExposesUserTag) {
   EXPECT_EQ(entry->flit.payload()[0], 9);
 }
 
+TEST(RetryBuffer, FindIndexesBySequenceDistanceAcrossWraps) {
+  // Lookup is an index computed from the oldest entry's sequence number.
+  // Stream a full 512-deep window through three 10-bit wraps, with the
+  // storage ring wrapping too, and check every seq in and out of the
+  // window at each step.
+  RetryBuffer buffer(512);
+  std::uint16_t next = 1000;
+  std::uint64_t tag = 0;
+  for (int round = 0; round < 8; ++round) {
+    while (!buffer.full()) {
+      ASSERT_TRUE(buffer.push(next, tagged_flit(0), tag++));
+      next = seq_next(next);
+    }
+    const std::uint16_t oldest = *buffer.oldest_seq();
+    const std::uint64_t oldest_tag = tag - buffer.size();
+    for (std::uint16_t seq = 0; seq < kSeqModulus; ++seq) {
+      const int distance = seq_distance(oldest, seq);
+      const RetryBuffer::Entry* entry = buffer.find_entry(seq);
+      if (distance >= 0 && distance < static_cast<int>(buffer.size())) {
+        ASSERT_NE(entry, nullptr) << "seq " << seq;
+        ASSERT_EQ(entry->seq, seq);
+        ASSERT_EQ(entry->user_tag,
+                  oldest_tag + static_cast<std::uint64_t>(distance));
+      } else {
+        ASSERT_EQ(entry, nullptr) << "seq " << seq;
+      }
+    }
+    // Release a round-dependent share so the ring's head keeps moving.
+    const auto released = static_cast<std::uint16_t>(100 + 37 * round);
+    buffer.ack_up_to(seq_add(oldest, released - 1));
+  }
+  buffer.clear();
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(buffer.find_entry(next), nullptr);
+  EXPECT_TRUE(buffer.push(7, tagged_flit(7)));
+  ASSERT_NE(buffer.find(7), nullptr);
+  EXPECT_EQ(buffer.find(7)->payload()[0], 7);
+}
+
 }  // namespace
 }  // namespace rxl::link
