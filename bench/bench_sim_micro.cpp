@@ -1,7 +1,7 @@
 // Simulation-kernel microbenchmarks (google-benchmark): ns/event for the
 // discrete-event core that every fabric Monte Carlo trial spins millions of
 // times — schedule+dispatch at steady heap depth, endpoint-style timer
-// rearm, and a full LinkChannel send->deliver hop.
+// rearm, a full LinkChannel send->deliver hop, and a wire kept full.
 //
 // Each benchmark iteration executes exactly ONE event, so the reported
 // ns/iter reads directly as ns/event.
@@ -55,9 +55,10 @@ void BM_EventQueue_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_TimerRearm);
 
-// Rearm-while-armed churn: the superseded deadline stays in the heap as a
-// stale generation and must no-op cheaply. Each iteration executes two
-// events (the stale pop and the live fire).
+// Rearm-while-armed churn: the later re-arm only records its deadline, so
+// a superseded deadline leaves no stale entry — the timer's single heap
+// entry wakes at 1'000 and re-pushes itself at 2'000. Each iteration
+// executes two events (that wake-up and the fire).
 void BM_EventQueue_TimerCancelRearm(benchmark::State& state) {
   sim::EventQueue queue;
   std::uint64_t fired = 0;
@@ -90,6 +91,30 @@ void BM_LinkChannel_SendDeliver(benchmark::State& state) {
   benchmark::DoNotOptimize(delivered);
 }
 BENCHMARK(BM_LinkChannel_SendDeliver);
+
+// A full wire: `depth` flits in flight on one LinkChannel (latency much
+// longer than the slot). Each iteration sends one flit and delivers the
+// oldest; only the front flit's delivery sits in the event heap.
+void BM_LinkChannel_Pipeline(benchmark::State& state) {
+  const TimePs depth = static_cast<TimePs>(state.range(0));
+  sim::EventQueue queue;
+  sim::LinkChannel channel(queue, std::make_unique<phy::NoErrors>(), 1,
+                           /*slot=*/2'000, /*latency=*/depth * 2'000);
+  std::uint64_t delivered = 0;
+  channel.set_receiver(
+      [&delivered](sim::FlitEnvelope&&) { ++delivered; });
+  sim::FlitEnvelope proto;
+  proto.flit.payload()[0] = 0xAB;
+  proto.pristine = true;
+  for (TimePs i = 0; i < depth; ++i) channel.send(proto);
+  for (auto _ : state) {
+    channel.send(proto);
+    queue.run(1);
+  }
+  queue.run();
+  benchmark::DoNotOptimize(delivered);
+}
+BENCHMARK(BM_LinkChannel_Pipeline)->Arg(64);
 
 // One TraceRing write: the marginal cost of every emission site when
 // tracing is on (a bounded ring store, no allocation). The trace-off cost

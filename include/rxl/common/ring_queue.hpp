@@ -2,11 +2,9 @@
 //
 // Exists so simulation components can park bulky in-flight values (256 B
 // flit envelopes) outside the event heap: the scheduled event captures only
-// the component pointer and pops the front when it fires. Capacity grows
-// geometrically and slots are reused, so steady-state traffic allocates
-// nothing. FIFO order matches event order because each component's
-// deliveries are scheduled at non-decreasing timestamps under the kernel's
-// FIFO tie-break.
+// the component pointer and pops the front when it fires (see
+// sim::EventFifo). Capacity grows geometrically and slots are reused, so
+// steady-state traffic allocates nothing.
 #pragma once
 
 #include <cassert>
@@ -25,6 +23,16 @@ class RingQueue {
   void push_back(T value) {
     if (count_ == slots_.size()) grow();
     slots_[(head_ + count_) & (slots_.size() - 1)] = std::move(value);
+    ++count_;
+  }
+
+  /// Appends the aggregate T{args...}, built without a by-value argument
+  /// in between (one copy fewer for a bulky element).
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
+    if (count_ == slots_.size()) grow();
+    slots_[(head_ + count_) & (slots_.size() - 1)] =
+        T{std::forward<Args>(args)...};
     ++count_;
   }
 
@@ -54,11 +62,17 @@ class RingQueue {
   /// Pops and returns the front element. [[nodiscard]]: a dropped pop is a
   /// lost flit/credit — callers that intend to drop must say so explicitly.
   [[nodiscard]] T pop_front() {
+    T value = std::move(front());
+    drop_front();
+    return value;
+  }
+
+  /// Removes the front element unread, for callers that have already
+  /// moved it out through front().
+  void drop_front() noexcept {
     assert(count_ > 0);
-    T value = std::move(slots_[head_]);
     head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
-    return value;
   }
 
   /// Empties the queue, keeping its slots for reuse.

@@ -19,12 +19,12 @@
 #include <memory>
 #include <utility>
 
-#include "rxl/common/ring_queue.hpp"
 #include "rxl/common/rng.hpp"
 #include "rxl/common/types.hpp"
 #include "rxl/flit/flit.hpp"
 #include "rxl/obs/trace.hpp"
 #include "rxl/phy/error_model.hpp"
+#include "rxl/sim/event_fifo.hpp"
 #include "rxl/sim/event_queue.hpp"
 #include "rxl/sim/fault_plan.hpp"
 #include "rxl/sim/flit_envelope.hpp"
@@ -112,11 +112,12 @@ class LinkChannel {
   /// compared against the schedule so each revival re-equalizes exactly
   /// once, on the first transmit after the link comes back.
   std::size_t fault_windows_seen_ = 0;
-  /// Flits on the wire, in delivery order. Per-channel delivery times are
-  /// strictly increasing (slot end is monotonic, latency constant), so the
-  /// scheduled [this] events pop this FIFO in exactly the order the heap
-  /// fires them — and the 256 B envelope never rides inside an event.
-  RingQueue<FlitEnvelope> in_flight_;
+  /// Flits on the wire, each stored with its delivery key (arrival time,
+  /// ticket drawn at send). Slot ends are monotonic and the latency is
+  /// constant, so deliveries never overtake and only the front flit's
+  /// delivery event sits in the heap. The 256 B envelope never rides
+  /// inside an event.
+  EventFifo<FlitEnvelope> in_flight_;
   /// Error pattern the model writes into; all zero between sends.
   std::array<std::uint8_t, kFlitBytes> pattern_{};
   ChannelStats stats_;

@@ -2,9 +2,14 @@
 //
 // Endpoint retry/ack/nack deadlines used to be one-shot closures pushed
 // through the event heap on every (re)arm. A Timer stores its callback once
-// at construction; arming pushes only a 16-byte {timer, generation} record,
-// and cancel/rearm are generation bumps (lazy deletion — a stale heap entry
-// no-ops when popped, it is never searched for or removed early).
+// at construction, and its pending wake-up is a 16-byte {timer, ticket}
+// heap record. Each arm draws a ticket (see
+// EventQueue::take_ticket), so the timer fires under exactly the key an
+// eager push at arm time would have had. An arm at or after the pending
+// wake-up only records (deadline, ticket): when the wake-up pops it
+// re-pushes the timer at the recorded key. Cancel just disarms. Only an arm
+// earlier than the pending wake-up pushes a second entry; the superseded
+// one no-ops when it pops.
 #pragma once
 
 #include <cstdint>
@@ -32,41 +37,60 @@ class Timer {
 
   /// Arms (or re-arms) the timer to fire at an absolute timestamp.
   void arm_at(TimePs when) {
-    ++generation_;  // invalidate any pending deadline
     armed_ = true;
     deadline_ = when;
-    queue_.schedule_at(when, Fire{this, generation_});
+    ticket_ = queue_.take_ticket();
+    // The fresh ticket is the newest, so a wake-up at or before `when` is
+    // earlier than the new key and will re-push the timer when it pops.
+    if (wake_ticket_ != kNoWake && wake_at_ <= when) return;
+    push_wake(when, ticket_);
   }
 
   /// Disarms without firing. No-op when idle.
-  void cancel() noexcept {
-    ++generation_;
-    armed_ = false;
-  }
+  void cancel() noexcept { armed_ = false; }
 
   [[nodiscard]] bool armed() const noexcept { return armed_; }
   /// Deadline of the last arm; meaningful only while armed().
   [[nodiscard]] TimePs deadline() const noexcept { return deadline_; }
 
  private:
+  using Ticket = EventQueue::Ticket;
+  static constexpr Ticket kNoWake = ~Ticket{0};
+
   struct Fire {
     Timer* timer;
-    std::uint64_t generation;
-    void operator()() const {
-      if (!timer->armed_ || generation != timer->generation_) return;  // stale
-      timer->armed_ = false;  // cleared before the callback so it may re-arm
-      timer->callback_();
-    }
+    Ticket ticket;
+    void operator()() const { timer->wake(ticket); }
   };
 
   static_assert(std::is_trivially_copyable_v<Fire> && sizeof(Fire) == 16,
-                "a pending deadline is a 16-byte {timer, generation} record "
+                "a pending wake-up is a 16-byte {timer, ticket} record "
                 "— rearming must never allocate");
+
+  void push_wake(TimePs when, Ticket ticket) {
+    wake_at_ = when;
+    wake_ticket_ = ticket;
+    queue_.schedule_ticketed(when, ticket, Fire{this, ticket});
+  }
+
+  void wake(Ticket ticket) {
+    if (ticket != wake_ticket_) return;  // superseded by an earlier arm
+    wake_ticket_ = kNoWake;
+    if (!armed_) return;
+    if (ticket != ticket_) {  // re-armed later since this entry was pushed
+      push_wake(deadline_, ticket_);
+      return;
+    }
+    armed_ = false;  // cleared before the callback so it may re-arm
+    callback_();
+  }
 
   EventQueue& queue_;
   InlineEvent callback_;
   TimePs deadline_ = 0;
-  std::uint64_t generation_ = 0;
+  Ticket ticket_ = 0;  ///< key of the current arm is (deadline_, ticket_)
+  TimePs wake_at_ = 0;
+  Ticket wake_ticket_ = kNoWake;  ///< the heap entry that wakes the timer
   bool armed_ = false;
 };
 

@@ -32,8 +32,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "rxl/common/ring_queue.hpp"
 #include "rxl/common/rng.hpp"
+#include "rxl/sim/event_fifo.hpp"
 #include "rxl/sim/link_channel.hpp"
 #include "rxl/transport/flit_codec.hpp"
 
@@ -94,7 +94,10 @@ class PortSwitch {
   transport::FlitCodec codec_;
   Xoshiro256 rng_;
   std::vector<Egress> outputs_;
-  RingQueue<PendingForward> forwarding_;  ///< FIFO: constant forward latency
+  /// Routed flits in forward order, each stored with its forward key
+  /// (due time, ticket drawn at routing). The forward latency is constant,
+  /// so only the front flit's forward event sits in the event heap.
+  sim::EventFifo<PendingForward> forwarding_;
   PortSwitchStats stats_;
 };
 

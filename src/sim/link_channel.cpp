@@ -66,13 +66,13 @@ TimePs LinkChannel::send(FlitEnvelope envelope) {
   }
 
   // Delivery happens once the last bit has propagated.
-  in_flight_.push_back(std::move(envelope));
-  queue_.schedule_at(end + latency_, [this] { deliver_front(); });
+  in_flight_.push(queue_, end + latency_, std::move(envelope),
+                  [this] { deliver_front(); });
   return end;
 }
 
 void LinkChannel::deliver_front() {
-  FlitEnvelope envelope = in_flight_.pop_front();
+  FlitEnvelope envelope = in_flight_.pop(queue_, [this] { deliver_front(); });
   if (deliver_) deliver_(std::move(envelope));
 }
 

@@ -85,13 +85,13 @@ void PortSwitch::on_flit(sim::FlitEnvelope&& envelope) {
   }
   stats_.flits_forwarded += 1;
   envelope.dest_port = outputs_[port].next_tag;
-  forwarding_.push_back(
-      PendingForward{std::move(envelope), outputs_[port].channel});
-  queue_.schedule(config_.forward_latency, [this] { forward_front(); });
+  forwarding_.push(queue_, queue_.now() + config_.forward_latency,
+                   PendingForward{std::move(envelope), outputs_[port].channel},
+                   [this] { forward_front(); });
 }
 
 void PortSwitch::forward_front() {
-  PendingForward pending = forwarding_.pop_front();
+  PendingForward pending = forwarding_.pop(queue_, [this] { forward_front(); });
   pending.output->send(std::move(pending.envelope));
 }
 
