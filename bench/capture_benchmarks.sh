@@ -74,6 +74,12 @@ if [[ -x "$build_dir/tools/rxl_trace/rxl_trace" ]]; then
   "$build_dir/tools/rxl_trace/rxl_trace" incast summary \
     > "$out_dir/trace_summary.txt"
   require_artifact "$out_dir/trace_summary.txt"
+  for scenario in fault trunk; do
+    echo "== rxl_trace $scenario summary -> $out_dir/trace_${scenario}_summary.txt"
+    "$build_dir/tools/rxl_trace/rxl_trace" "$scenario" summary \
+      > "$out_dir/trace_${scenario}_summary.txt"
+    require_artifact "$out_dir/trace_${scenario}_summary.txt"
+  done
 fi
 
 echo "== ctest suite wall-times -> $out_dir/suite_times.txt"

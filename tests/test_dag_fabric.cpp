@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "rxl/link/credit.hpp"
 #include "rxl/sim/trial_runner.hpp"
@@ -527,6 +528,101 @@ TEST(DagFabric, RelayReportExposesPortWiring) {
   EXPECT_EQ(relay1.ports[0].stats.relayed_in, 50u);
   EXPECT_EQ(relay1.ports[1].stats.relayed_out, 50u);
   EXPECT_GT(relay1.ports[1].stats.max_queue_depth, 0u);
+}
+
+TEST(DagFabric, RelayPortEdgesMatchTheSegmentsTheyTerminate) {
+  // Every canned topology, plus a relay whose two domains are both paired
+  // (one of them spliced through a hub in each direction): each relay port
+  // must report the edges of the plan segments it terminates. Ports are
+  // numbered in domain order (a segment and its mate form one domain, taken
+  // at the lower segment index), one per relay end of each domain.
+  DagScenarioSpec spec = base_spec();
+  spec.flits_per_flow = 20;
+  StarConfig star;
+  star.pairs = 2;
+  star.flits_per_direction = 20;
+  star.horizon = spec.horizon;
+  FabricConfig levels;
+  levels.switch_levels = 2;
+  levels.downstream_flits = 20;
+  levels.upstream_flits = 20;
+  levels.horizon = spec.horizon;
+  DagConfig faulted = make_diamond_dag(spec, 2, 3);
+  faulted.faults.edge(2).add_window(10'000'000, 0);  // backups ride M_1
+  DagConfig paired = base_config_from(spec);
+  paired.nodes.push_back(DagNode{"a", DagNodeKind::kTerminal, {}});   // 0
+  paired.nodes.push_back(DagNode{"up", DagNodeKind::kHub, {}});       // 1
+  paired.nodes.push_back(DagNode{"r", DagNodeKind::kRelay, {}});      // 2
+  paired.nodes.push_back(DagNode{"down", DagNodeKind::kHub, {}});     // 3
+  paired.nodes.push_back(DagNode{"b", DagNodeKind::kTerminal, {}});   // 4
+  paired.edges.push_back(plain_edge(0, 1));
+  paired.edges.push_back(plain_edge(1, 2));
+  paired.edges.push_back(plain_edge(2, 4));
+  paired.edges.push_back(plain_edge(4, 2));
+  paired.edges.push_back(plain_edge(2, 3));
+  paired.edges.push_back(plain_edge(3, 0));
+  paired.flows.push_back(DagFlow{0, 4, 20, 0x61});
+  paired.flows.push_back(DagFlow{4, 0, 20, 0x62});
+
+  const std::vector<std::pair<std::string, DagConfig>> topologies = {
+      {"chain", make_chain_dag(spec, 3)},
+      {"butterfly", make_butterfly_dag(spec)},
+      {"fat_tree", make_fat_tree_dag(spec)},
+      {"asymmetric", make_asymmetric_dag(spec)},
+      {"incast", make_incast_dag(spec, 3)},
+      {"hotspot", make_hotspot_dag(spec, 3)},
+      {"diamond", make_diamond_dag(spec, 2, 2)},
+      {"diamond_faulted", faulted},
+      {"trunk", make_trunk_dag(spec, 3)},
+      {"star", make_star_dag(star)},
+      {"switch_levels", make_switch_levels_dag(levels)},
+      {"paired_relay", paired},
+  };
+  for (const auto& [name, config] : topologies) {
+    SCOPED_TRACE(name);
+    const DagPlan plan = plan_dag(config);
+    std::vector<std::vector<std::pair<std::uint16_t, std::uint16_t>>>
+        expected(config.nodes.size());  // (rx_edge, tx_edge) per port
+    bool any_paired_relay_port = false;
+    for (std::size_t si = 0; si < plan.segments.size(); ++si) {
+      const DagPlan::Segment& segment = plan.segments[si];
+      if (segment.mate.has_value() && *segment.mate < si) continue;
+      const DagPlan::Segment* mate =
+          segment.mate.has_value() ? &plan.segments[*segment.mate] : nullptr;
+      if (config.nodes[segment.origin].kind == DagNodeKind::kRelay) {
+        expected[segment.origin].emplace_back(
+            mate != nullptr ? mate->ingress_edge : DagRelayPort::kNoEdge,
+            segment.egress_edge);
+        any_paired_relay_port |= mate != nullptr;
+      }
+      if (config.nodes[segment.peer].kind == DagNodeKind::kRelay) {
+        expected[segment.peer].emplace_back(
+            segment.ingress_edge,
+            mate != nullptr ? mate->egress_edge : DagRelayPort::kNoEdge);
+        any_paired_relay_port |= mate != nullptr;
+      }
+    }
+    if (name == "paired_relay") {
+      EXPECT_TRUE(any_paired_relay_port);
+    }
+
+    const DagReport report = run_dag_fabric(config);
+    std::size_t relay_nodes = 0;
+    for (const DagNode& node : config.nodes)
+      relay_nodes += node.kind == DagNodeKind::kRelay ? 1 : 0;
+    ASSERT_EQ(report.relays.size(), relay_nodes);
+    for (const DagRelayReport& relay : report.relays) {
+      SCOPED_TRACE(config.nodes[relay.node].name);
+      ASSERT_EQ(config.nodes[relay.node].kind, DagNodeKind::kRelay);
+      const auto& ports = expected[relay.node];
+      ASSERT_EQ(relay.ports.size(), ports.size());
+      for (std::size_t p = 0; p < ports.size(); ++p) {
+        EXPECT_EQ(relay.ports[p].rx_edge, ports[p].first) << "port " << p;
+        EXPECT_EQ(relay.ports[p].tx_edge, ports[p].second) << "port " << p;
+      }
+    }
+    EXPECT_EQ(report.total_relay_no_route_drops(), 0u);
+  }
 }
 
 TEST(DagFabric, RelayWithoutRouteCountsDropsNotCrashes) {
