@@ -34,19 +34,15 @@ int main(int argc, char** argv) {
       config.seed = 2025;
       config.flits_per_direction = 20'000;
       config.horizon = 300'000'000;
-      const transport::StarReport report =
-          transport::run_star_fabric_via_dag(config);
-
-      std::uint64_t corrupt = 0;
-      for (const auto& pair : report.pairs)
-        corrupt += pair.downstream.data_corruptions +
-                   pair.upstream.data_corruptions;
+      const transport::DagReport report =
+          transport::run_dag_fabric(transport::make_star_dag(config));
       table.add_row(
           {std::to_string(pairs), transport::protocol_name(protocol),
            std::to_string(report.total_in_order()),
-           std::to_string(report.hub.dropped_fec),
+           std::to_string(report.hubs.front().stats.dropped_fec),
            std::to_string(report.total_order_failures()),
-           std::to_string(report.total_missing()), std::to_string(corrupt)});
+           std::to_string(report.total_missing()),
+           std::to_string(report.total_data_corruptions())});
     }
   }
   std::printf("%s\n", table.to_string().c_str());

@@ -177,7 +177,8 @@ class RelaySwitch {
   transport::Endpoint::RelayPull pull_next(std::size_t egress);
   [[nodiscard]] std::uint8_t vc_of(std::uint16_t flow_id) const noexcept;
   [[nodiscard]] static std::size_t total_pending(const Port& port) noexcept;
-  void account_dequeue(Pending& pending);
+  void enqueue(Port& out_port, Pending pending);
+  transport::Endpoint::TxItem dequeue(Port& port, std::size_t queue_index);
   void update_ecn(Port& in_port, std::size_t vc);
 
   // Flit-lifecycle tracing (see transport/endpoint.hpp for the pattern:

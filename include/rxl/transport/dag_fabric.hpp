@@ -48,7 +48,6 @@
 #include "rxl/transport/config.hpp"
 #include "rxl/transport/endpoint.hpp"
 #include "rxl/transport/fabric.hpp"
-#include "rxl/transport/star_fabric.hpp"
 #include "rxl/transport/traffic_gen.hpp"
 #include "rxl/txn/scoreboard.hpp"
 
@@ -101,12 +100,6 @@ struct DagFlow {
   /// a mismatch — the relay schedules VCs, not flows). Weight 0 is legal:
   /// the scheduler's quantum floor still serves one flit per round.
   std::uint32_t weight = 1;
-  /// Deterministic-rate shorthand: payload index i is offered no earlier
-  /// than i * pace (0 = unpaced). Equivalent to arrival = kPaced with
-  /// interval = pace; kept because it is how every pre-traffic-gen harness
-  /// models a low-rate "mice" flow against greedy elephants. Only legal
-  /// with arrival = kGreedy (auto-promoted to kPaced) or kPaced.
-  TimePs pace = 0;
   /// Arrival process driving this flow's source (see traffic_gen.hpp).
   /// kGreedy (the default) offers every payload immediately — the legacy
   /// pull-limited source, byte-identical on the wire.
@@ -358,8 +351,12 @@ struct DagReport {
   std::uint64_t misrouted = 0;
   std::uint64_t slots = 0;
   /// Flit-lifecycle trace capture (empty unless DagConfig::trace.enabled).
-  /// Component ids match registration order: flow sources, then per-hop
-  /// endpoint pairs, relay fabrics, channels, and the reroute controller.
+  /// Component ids match registration order: terminal endpoints in
+  /// ascending (node, domain) order — a domain is numbered by the lower
+  /// index of its plan segments — then per relay in node order its port
+  /// endpoints and its routing fabric ("<relay>.q"), then the forward
+  /// channels ("wire.e<edge>"), the implicit control wires ("ctrl.w<n>", in
+  /// domain order), and the reroute controller ("reroute").
   obs::TraceCapture trace;
   /// Occupancy/goodput time series (empty unless trace.sample_period > 0).
   std::vector<obs::TimeSeriesPoint> timeseries;
@@ -436,6 +433,8 @@ struct DagScenarioSpec {
 struct DagFlowClass {
   std::uint8_t vc = 0;
   std::uint32_t weight = 1;
+  /// > 0 makes the flow kPaced with this interval: payload i is offered no
+  /// earlier than i * pace (the low-rate "mouse" against greedy elephants).
   TimePs pace = 0;
   std::uint64_t flits = 0;
 };
@@ -512,6 +511,25 @@ struct DagFlowClass {
                                        std::size_t sources,
                                        std::span<const DagFlowClass> classes);
 
+/// Scale-out star: N host/device pairs sharing one transparent switch — the
+/// paper's title scenario in its smallest non-trivial form. Every flit of
+/// every pair crosses the shared hub, so one pair's drops never perturb
+/// another pair's ordering while contention and error handling are shared.
+struct StarConfig {
+  ProtocolConfig protocol;
+  std::size_t pairs = 4;
+  double ber = 0.0;
+  double burst_injection_rate = 0.0;
+  std::size_t burst_symbols = 4;
+  double switch_internal_error_rate = 0.0;
+  TimePs slot = kFlitSlotPs;
+  TimePs propagation_latency = 8'000;
+  TimePs switch_latency = 10'000;
+  std::uint64_t seed = 1;
+  std::uint64_t flits_per_direction = 0;  ///< per pair, per direction
+  TimePs horizon = 0;
+};
+
 /// The legacy star fabric expressed as a one-hub DAG: N terminal pairs
 /// around a single transparent hub, seeds drawn in the order the deleted
 /// hard-coded builder used (down switch, up switch, then per pair the four
@@ -519,13 +537,11 @@ struct DagFlowClass {
 /// same StarConfig (when switch_internal_error_rate is zero; with internal
 /// corruption the legacy build used one RNG stream per direction and the
 /// single hub uses one in total). The equivalence test pins this against
-/// counters recorded from the last legacy build, field-for-field.
+/// counters recorded from the last legacy build, field-for-field. In the
+/// run_dag_fabric() report, flow i is pair i downstream (host i -> device
+/// i), flow N+i is pair i upstream, and hubs.front().stats is the shared
+/// switch (both directions).
 [[nodiscard]] DagConfig make_star_dag(const StarConfig& config);
-
-/// Runs make_star_dag() and repackages the DagReport as a StarReport.
-/// `hub` carries the shared switch's aggregate counters (what the legacy
-/// build split across its two per-direction switch instances).
-[[nodiscard]] StarReport run_star_fabric_via_dag(const StarConfig& config);
 
 /// The paper's multi-level switch trial as a DAG: host and device joined
 /// by a downstream chain of `switch_levels` one-port hubs and a separate

@@ -8,8 +8,8 @@
 // rate, Poisson, and heavy-tailed ON/OFF bursts — and ClosedLoopWindow
 // models the closed-loop kind (a fixed number of outstanding requests with
 // think time, the SRP-style harness shape). DagFlow carries an ArrivalSpec
-// so every canned scenario can be driven at a chosen load; the legacy
-// `pace` knob is the deterministic-rate case.
+// so every canned scenario can be driven at a chosen load; kPaced is the
+// deterministic-rate case.
 //
 // Determinism: all randomness comes from the seeded Xoshiro256 stream in
 // the spec (never wall clock, lint R2), and due-times are generated by a
@@ -64,8 +64,7 @@ struct ArrivalSpec {
 /// model guarantees this: index i is re-polled until it yields a payload,
 /// then i+1 begins); repeated queries of the current index are free and
 /// draw nothing, so the due-time of a blocked arrival never drifts.
-/// kPaced draws nothing at all and reproduces the legacy pace arithmetic
-/// (i * interval) exactly.
+/// kPaced draws nothing at all: due(i) is exactly i * interval.
 class ArrivalProcess {
  public:
   explicit ArrivalProcess(const ArrivalSpec& spec) noexcept;

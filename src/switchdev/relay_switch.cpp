@@ -63,18 +63,35 @@ void RelaySwitch::update_ecn(Port& in_port, std::size_t vc) {
   in_port.endpoint->set_ecn_marks(in_port.ecn_marks);
 }
 
-/// Dequeue-side bookkeeping shared by the scheduler pull: the payload
-/// leaves the bounded buffer, so the ingress slot frees and its credit
-/// returns upstream on the VC that billed it.
-void RelaySwitch::account_dequeue(Pending& pending) {
-  if (pending.ingress == kNoIngress) return;
-  Port& in_port = ports_[pending.ingress];
-  const std::uint8_t vc = pending.item.vc;
-  assert(in_port.in_queue > 0 && in_port.in_queue_by_vc[vc] > 0);
-  in_port.in_queue -= 1;
-  in_port.in_queue_by_vc[vc] -= 1;
-  update_ecn(in_port, vc);
-  in_port.endpoint->return_credits(vc, 1);
+/// Parks `pending` on the egress port's queue (its VC's, or the shared
+/// FIFO), tracks the queue's high-water mark, and wakes the egress endpoint.
+void RelaySwitch::enqueue(Port& out_port, Pending pending) {
+  const std::size_t queue_index =
+      scheduler_.policy() == EgressPolicy::kFifo ? 0 : pending.item.vc;
+  out_port.queues[queue_index].push_back(std::move(pending));
+  const std::size_t depth = total_pending(out_port);
+  if (depth > out_port.stats.max_queue_depth)
+    out_port.stats.max_queue_depth = depth;
+  out_port.endpoint->kick();
+}
+
+/// Pops the head of one egress queue for re-origination: the payload leaves
+/// the bounded buffer, so its ingress slot frees and the credit returns
+/// upstream on the VC that billed it.
+transport::Endpoint::TxItem RelaySwitch::dequeue(Port& port,
+                                                 std::size_t queue_index) {
+  Pending pending = port.queues[queue_index].pop_front();
+  port.stats.relayed_out += 1;
+  if (pending.ingress != kNoIngress) {
+    Port& in_port = ports_[pending.ingress];
+    const std::uint8_t vc = pending.item.vc;
+    assert(in_port.in_queue > 0 && in_port.in_queue_by_vc[vc] > 0);
+    in_port.in_queue -= 1;
+    in_port.in_queue_by_vc[vc] -= 1;
+    update_ecn(in_port, vc);
+    in_port.endpoint->return_credits(vc, 1);
+  }
+  return std::move(pending.item);
 }
 
 transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
@@ -94,10 +111,7 @@ transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
       pull.ecn_blocked = true;
       return pull;
     }
-    Pending pending = port.queues[0].pop_front();
-    port.stats.relayed_out += 1;
-    account_dequeue(pending);
-    pull.item = std::move(pending.item);
+    pull.item = dequeue(port, 0);
     return pull;
   }
   const std::optional<std::size_t> vc = scheduler_.pick(
@@ -106,10 +120,7 @@ transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
       [&](std::size_t v) { return endpoint.vc_send_ready(v); },
       &pull.credit_blocked, &pull.ecn_blocked);
   if (!vc.has_value()) return pull;
-  Pending pending = port.queues[*vc].pop_front();
-  port.stats.relayed_out += 1;
-  account_dequeue(pending);
-  pull.item = std::move(pending.item);
+  pull.item = dequeue(port, *vc);
   return pull;
 }
 
@@ -128,7 +139,6 @@ void RelaySwitch::set_flow_vc(std::uint16_t flow_id, std::uint8_t vc) {
 void RelaySwitch::inject(std::size_t egress_port,
                          transport::Endpoint::TxItem item) {
   assert(egress_port < ports_.size());
-  Port& out_port = ports_[egress_port];
   Pending pending;
   pending.item = std::move(item);
   // Re-derive the VC from the flow table: it is a flow property that
@@ -138,13 +148,7 @@ void RelaySwitch::inject(std::size_t egress_port,
   trace(obs::TraceEventKind::kEnqueue, pending.item.truth_index,
         pending.item.flow_id, 0, pending.item.vc,
         static_cast<std::uint32_t>(egress_port));
-  const std::size_t queue_index =
-      scheduler_.policy() == EgressPolicy::kFifo ? 0 : pending.item.vc;
-  out_port.queues[queue_index].push_back(std::move(pending));
-  const std::size_t depth = total_pending(out_port);
-  if (depth > out_port.stats.max_queue_depth)
-    out_port.stats.max_queue_depth = depth;
-  out_port.endpoint->kick();
+  enqueue(ports_[egress_port], std::move(pending));
 }
 
 std::size_t RelaySwitch::migrate_pending(std::size_t from_port,
@@ -228,21 +232,16 @@ void RelaySwitch::on_delivered(std::size_t ingress,
     in_port.endpoint->return_credits(vc, 1);
     return;
   }
-  Port& out_port = ports_[egress];
   Pending pending;
   pending.item.payload.assign(payload.begin(), payload.end());
   pending.item.truth_index = envelope.truth_index;
   pending.item.flow_id = envelope.flow_id;
   pending.item.vc = vc;
   pending.ingress = static_cast<std::uint32_t>(ingress);
-  const std::size_t queue_index =
-      scheduler_.policy() == EgressPolicy::kFifo ? 0 : vc;
   trace(obs::TraceEventKind::kEnqueue, envelope.truth_index,
         envelope.flow_id, 0, vc, static_cast<std::uint32_t>(egress));
-  out_port.queues[queue_index].push_back(std::move(pending));
-  const std::size_t depth = total_pending(out_port);
-  if (depth > out_port.stats.max_queue_depth)
-    out_port.stats.max_queue_depth = depth;
+  // Bill the ingress slot before the enqueue's kick: the egress endpoint
+  // may re-originate the payload (and free the slot) synchronously.
   in_port.in_queue += 1;
   in_port.in_queue_by_vc[vc] += 1;
   if (in_port.in_queue > in_port.stats.ingress_high_water)
@@ -255,7 +254,7 @@ void RelaySwitch::on_delivered(std::size_t ingress,
   assert(in_port.endpoint->config().rx_credits == 0 ||
          in_port.in_queue_by_vc[vc] <= in_port.endpoint->config().rx_credits);
   update_ecn(in_port, vc);
-  out_port.endpoint->kick();
+  enqueue(ports_[egress], std::move(pending));
 }
 
 }  // namespace rxl::switchdev

@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -44,6 +43,45 @@ std::string node_label(const DagConfig& config, std::size_t node) {
   std::string label = "node#";
   label += std::to_string(node);
   return label;
+}
+
+/// Breadth-first shortest path from `from` to `to`, ties broken by lowest
+/// edge id (out-edge lists are in declaration order, so first-reached
+/// wins). Traffic cannot transit a terminal, so the search never expands
+/// one past `from`. Edges flagged in `excluded` (when given) are skipped.
+/// Returns the edge ids in path order, or nullopt when `to` is unreachable.
+std::optional<std::vector<std::uint16_t>> shortest_path(
+    const DagConfig& config,
+    const std::vector<std::vector<std::uint16_t>>& out_edges,
+    std::uint16_t from, std::uint16_t to,
+    const std::vector<std::uint8_t>* excluded) {
+  const std::size_t n = config.nodes.size();
+  std::vector<std::int32_t> parent_edge(n, -1);
+  std::vector<std::uint8_t> visited(n, 0);
+  std::vector<std::uint16_t> frontier{from};
+  visited[from] = 1;
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const std::uint16_t u = frontier[head];
+    if (u != from && config.nodes[u].kind == DagNodeKind::kTerminal) continue;
+    for (const std::uint16_t e : out_edges[u]) {
+      if (excluded != nullptr && (*excluded)[e] != 0) continue;
+      const std::uint16_t w = config.edges[e].dst;
+      if (visited[w]) continue;
+      visited[w] = 1;
+      parent_edge[w] = static_cast<std::int32_t>(e);
+      frontier.push_back(w);
+    }
+  }
+  if (!visited[to]) return std::nullopt;
+  std::vector<std::uint16_t> path;
+  for (std::uint16_t v = to; v != from;) {
+    const std::int32_t e = parent_edge[v];
+    assert(e >= 0);
+    path.push_back(static_cast<std::uint16_t>(e));
+    v = config.edges[static_cast<std::size_t>(e)].src;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 }  // namespace
@@ -288,22 +326,9 @@ DagPlan plan_dag(const DagConfig& config) {
       invalid(std::move(message));
     }
 
-    std::vector<std::int32_t> parent_edge(n, -1);
-    std::vector<std::uint8_t> visited(n, 0);
-    std::vector<std::uint16_t> frontier{flow.src};
-    visited[flow.src] = 1;
-    for (std::size_t head = 0; head < frontier.size(); ++head) {
-      const std::uint16_t u = frontier[head];
-      if (u != flow.src && kind(u) == DagNodeKind::kTerminal) continue;
-      for (const std::uint16_t e : out_edges[u]) {
-        const std::uint16_t w = config.edges[e].dst;
-        if (visited[w]) continue;
-        visited[w] = 1;
-        parent_edge[w] = static_cast<std::int32_t>(e);
-        frontier.push_back(w);
-      }
-    }
-    if (!visited[flow.dst]) {
+    std::optional<std::vector<std::uint16_t>> path =
+        shortest_path(config, out_edges, flow.src, flow.dst, nullptr);
+    if (!path.has_value()) {
       std::string message = "flow ";
       message += label(flow.src);
       message += " -> ";
@@ -311,14 +336,7 @@ DagPlan plan_dag(const DagConfig& config) {
       message += " is unreachable";
       invalid(std::move(message));
     }
-    std::vector<std::uint16_t>& path = plan.flow_paths[f];
-    for (std::uint16_t v = flow.dst; v != flow.src;) {
-      const std::int32_t e = parent_edge[v];
-      assert(e >= 0);
-      path.push_back(static_cast<std::uint16_t>(e));
-      v = config.edges[static_cast<std::size_t>(e)].src;
-    }
-    std::reverse(path.begin(), path.end());
+    plan.flow_paths[f] = std::move(*path);
   }
 
   // QoS sanity. Relays schedule VCs, not flows, so every flow sharing a VC
@@ -343,11 +361,9 @@ DagPlan plan_dag(const DagConfig& config) {
       }
     }
   }
-  // Arrival-process sanity. `pace` is the deterministic-rate shorthand
-  // (exactly kPaced with interval = pace), so it cannot combine with a
-  // different kind or a conflicting interval; each kind's shape parameters
-  // must be present, and parameters of other kinds must be absent — a
-  // silently-ignored knob would misstate the offered load.
+  // Arrival-process sanity: each kind's shape parameters must be present,
+  // and parameters of other kinds must be absent — a silently-ignored knob
+  // would misstate the offered load.
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     const DagFlow& flow = config.flows[f];
     auto flow_invalid = [&](const char* what) {
@@ -359,14 +375,6 @@ DagPlan plan_dag(const DagConfig& config) {
       message += what;
       invalid(std::move(message));
     };
-    if (flow.pace > 0 && flow.arrival != ArrivalKind::kGreedy &&
-        flow.arrival != ArrivalKind::kPaced)
-      flow_invalid(
-          "sets pace, the deterministic-rate shorthand; rate-shaped kinds "
-          "set interval instead");
-    if (flow.pace > 0 && flow.interval > 0 && flow.interval != flow.pace)
-      flow_invalid("sets pace and a conflicting interval");
-    const TimePs interval = flow.interval > 0 ? flow.interval : flow.pace;
     switch (flow.arrival) {
       case ArrivalKind::kGreedy:
         if (flow.interval > 0)
@@ -374,17 +382,18 @@ DagPlan plan_dag(const DagConfig& config) {
         break;
       case ArrivalKind::kPaced:
       case ArrivalKind::kPoisson:
-        if (interval == 0) flow_invalid("needs interval > 0");
+        if (flow.interval == 0) flow_invalid("needs interval > 0");
         break;
       case ArrivalKind::kOnOff:
-        if (interval == 0) flow_invalid("needs interval > 0 (burst spacing)");
+        if (flow.interval == 0)
+          flow_invalid("needs interval > 0 (burst spacing)");
         if (flow.off_mean == 0) flow_invalid("needs off_mean > 0");
         if (!(flow.on_mean_flits >= 1.0))
           flow_invalid("needs on_mean_flits >= 1");
         break;
       case ArrivalKind::kClosedLoop:
         if (flow.window == 0) flow_invalid("needs window >= 1");
-        if (interval > 0) flow_invalid("takes no pace/interval");
+        if (flow.interval > 0) flow_invalid("takes no interval");
         break;
     }
     if (flow.window > 0 && flow.arrival != ArrivalKind::kClosedLoop)
@@ -511,32 +520,10 @@ DagPlan plan_dag(const DagConfig& config) {
         DagPlan::Reroute reroute;
         reroute.flow = static_cast<std::uint16_t>(f);
         reroute.dead_segment = si;
-        std::vector<std::int32_t> parent_edge(n, -1);
-        std::vector<std::uint8_t> visited(n, 0);
-        std::vector<std::uint16_t> frontier{segment.origin};
-        visited[segment.origin] = 1;
-        for (std::size_t head = 0; head < frontier.size(); ++head) {
-          const std::uint16_t u = frontier[head];
-          if (u != segment.origin && kind(u) == DagNodeKind::kTerminal)
-            continue;
-          for (const std::uint16_t e : out_edges[u]) {
-            if (edge_doomed[e] != 0) continue;
-            const std::uint16_t w = config.edges[e].dst;
-            if (visited[w]) continue;
-            visited[w] = 1;
-            parent_edge[w] = static_cast<std::int32_t>(e);
-            frontier.push_back(w);
-          }
-        }
-        if (visited[flow.dst]) {
-          for (std::uint16_t v = flow.dst; v != segment.origin;) {
-            const std::int32_t e = parent_edge[v];
-            assert(e >= 0);
-            reroute.backup_edges.push_back(static_cast<std::uint16_t>(e));
-            v = config.edges[static_cast<std::size_t>(e)].src;
-          }
-          std::reverse(reroute.backup_edges.begin(),
-                       reroute.backup_edges.end());
+        std::optional<std::vector<std::uint16_t>> backup = shortest_path(
+            config, out_edges, segment.origin, flow.dst, &edge_doomed);
+        if (backup.has_value()) {
+          reroute.backup_edges = std::move(*backup);
           extract_segments(reroute.backup_edges, reroute.backup_segments);
         }
         plan.reroutes.push_back(std::move(reroute));
@@ -776,665 +763,667 @@ class FaultController {
 // Instantiation + run
 // ---------------------------------------------------------------------------
 
-DagReport run_dag_fabric(const DagConfig& config) {
-  const DagPlan plan = plan_dag(config);
-  const std::size_t node_count = config.nodes.size();
+namespace {
 
-  sim::EventQueue queue;
-  Xoshiro256 seeder(config.seed);
-  auto kind = [&](std::size_t node) { return config.nodes[node].kind; };
+/// The runtime ends of one plan segment (one ISN domain direction): the
+/// endpoint whose data enters the segment at its origin, the endpoint that
+/// receives it at its peer, and the relay port index at each end (read only
+/// where that end is a relay). The two segments of a paired domain share
+/// both endpoints with the roles swapped.
+struct SegmentEnds {
+  Endpoint* tx = nullptr;
+  Endpoint* rx = nullptr;
+  std::size_t tx_port = 0;
+  std::size_t rx_port = 0;
+};
 
-  // Flit-lifecycle tracing: the sink exists only when enabled, so every
-  // emission site in the built components stays a null-pointer no-op on
-  // untraced runs. Creating it draws nothing from the fabric seeder — the
-  // channel/hub seed sequence (and with it the wire trajectory) is
-  // byte-identical with tracing on or off.
-  std::unique_ptr<obs::TraceSink> trace_sink;
-  if (config.trace.enabled)
-    trace_sink = std::make_unique<obs::TraceSink>(config.trace.ring_depth);
+/// Per-flow runtime state: the end-to-end scoreboard, the arrival process
+/// (one armed wake-up per rate-shaped flow) or closed-loop window, and the
+/// latency sampler. The sampling footprint is fixed per flow — a
+/// log-bucketed histogram plus a kLatencyRingSlots timestamp ring keyed by
+/// truth index — so memory does not grow with run length (raw samples only
+/// under the debug opt-in).
+struct FlowState {
+  txn::StreamScoreboard board;
+  std::uint64_t offered = 0;
+  Endpoint* source = nullptr;
+  std::optional<ArrivalProcess> arrivals;
+  std::optional<ClosedLoopWindow> loop;
+  bool pace_armed = false;
+  stats::LatencyHistogram latency;
+  std::vector<TimePs> ring_at;          // inject timestamp per ring slot
+  std::vector<std::uint64_t> ring_tag;  // truth index stamped in the slot
+  std::vector<TimePs> debug_samples;
+  std::uint64_t sample_misses = 0;
+};
 
-  // Compile the fault plan into one normalized schedule per edge: the
-  // configured per-edge windows, plus a permanent outage on every edge
-  // incident to a fail-stop relay from its failure instant. The vector
-  // outlives the run; channels hold pointers into it. With an empty plan
-  // nothing here runs and every channel keeps its null-schedule fast path
-  // (bit-identical to a build without fault support).
-  const bool faults_on = !config.faults.empty();
-  std::vector<std::uint8_t> node_failed(node_count, 0);
-  std::vector<sim::LinkFaultSchedule> fault_schedules;
-  if (faults_on) {
-    for (const sim::RelayFailStop& failure : config.faults.relay_failures)
-      node_failed[failure.node] = 1;
-    fault_schedules.resize(config.edges.size());
-    for (std::size_t e = 0; e < config.faults.edges.size(); ++e)
-      fault_schedules[e] = config.faults.edges[e];
-    for (const sim::RelayFailStop& failure : config.faults.relay_failures) {
-      for (std::size_t e = 0; e < config.edges.size(); ++e) {
-        if (config.edges[e].src == failure.node ||
-            config.edges[e].dst == failure.node)
-          fault_schedules[e].add_window(failure.at, 0);
+/// One instantiated fabric: the constructor builds every component the plan
+/// names, run() kicks the sources and runs to the horizon, and report()
+/// reads the counters back. Callbacks capture `this`, so the object is
+/// neither copied nor moved.
+class DagFabric {
+ public:
+  DagFabric(const DagConfig& config, const DagPlan& plan)
+      : config_(config),
+        plan_(plan),
+        sample_(config.sample_latency || config.debug_latency_samples),
+        seeder_(config.seed) {
+    // The sink exists only when tracing is enabled, so every emission site
+    // in the built components stays a null-pointer no-op on untraced runs.
+    // Creating it draws nothing from the fabric seeder — the channel/hub
+    // seed sequence (and with it the wire trajectory) is byte-identical
+    // with tracing on or off.
+    if (config.trace.enabled)
+      trace_ = std::make_unique<obs::TraceSink>(config.trace.ring_depth);
+    build_fault_schedules();
+    build_switches_and_channels();
+    build_domains();
+    install_routes();
+    build_fault_controller();
+    register_trace();
+    build_flows();
+  }
+  DagFabric(const DagFabric&) = delete;
+  DagFabric& operator=(const DagFabric&) = delete;
+
+  void run() {
+    if (trace_ != nullptr && config_.trace.sample_period > 0)
+      queue_.schedule(config_.trace.sample_period, [this] { sample_tick(); });
+    for (const FlowState& flow : flows_) flow.source->kick();
+    queue_.run_until(config_.horizon);
+  }
+
+  [[nodiscard]] DagReport report() {
+    DagReport report;
+    report.slots = static_cast<std::uint64_t>(config_.horizon / config_.slot);
+    report.misrouted = misrouted_;
+    report.flows.resize(flows_.size());
+    for (std::size_t f = 0; f < flows_.size(); ++f) {
+      DagFlowReport& out = report.flows[f];
+      FlowState& flow = flows_[f];
+      out.src = config_.flows[f].src;
+      out.dst = config_.flows[f].dst;
+      out.offered = flow.offered;
+      out.scoreboard = flow.board.finalize();
+      out.path_edges = plan_.flow_paths[f];
+      out.rerouted = controller_ != nullptr && controller_->flow_rerouted(f);
+      out.latency = flow.latency;
+      out.latency_sample_misses = flow.sample_misses;
+      out.latency_samples = std::move(flow.debug_samples);
+    }
+    if (controller_ != nullptr) report.reroutes = controller_->reports();
+
+    // Relay port edges come from the segment table; hops follow domain
+    // order, in which the unpaired domains also took their control wires.
+    std::vector<std::vector<DagRelayPort>> ports(relays_.size());
+    for (std::size_t v = 0; v < relays_.size(); ++v)
+      if (relays_[v] != nullptr) ports[v].resize(relays_[v]->ports());
+    std::size_t wire = 0;
+    for (std::size_t si = 0; si < plan_.segments.size(); ++si) {
+      const DagPlan::Segment& segment = plan_.segments[si];
+      if (relays_[segment.origin] != nullptr)
+        ports[segment.origin][ends_[si].tx_port].tx_edge = segment.egress_edge;
+      if (relays_[segment.peer] != nullptr)
+        ports[segment.peer][ends_[si].rx_port].rx_edge = segment.ingress_edge;
+      if (segment.mate.has_value() && *segment.mate < si) continue;
+      const sim::LinkChannel& reverse =
+          segment.mate.has_value()
+              ? *channels_[plan_.segments[*segment.mate].egress_edge]
+              : *control_wires_[wire++];
+      report.hops.push_back(hop_stats(si, reverse));
+    }
+    report.edges.reserve(channels_.size());
+    for (const std::unique_ptr<sim::LinkChannel>& channel : channels_)
+      report.edges.push_back(channel->snapshot());
+    for (std::size_t v = 0; v < relays_.size(); ++v) {
+      if (relays_[v] != nullptr) {
+        for (std::size_t p = 0; p < ports[v].size(); ++p)
+          ports[v][p].stats = relays_[v]->snapshot(p);
+        report.relays.push_back(
+            DagRelayReport{static_cast<std::uint16_t>(v), std::move(ports[v])});
+      } else if (hubs_[v] != nullptr) {
+        report.hubs.push_back(
+            DagHubReport{static_cast<std::uint16_t>(v), hubs_[v]->stats()});
       }
     }
-    for (sim::LinkFaultSchedule& schedule : fault_schedules)
+    if (trace_ != nullptr) {
+      report.trace = trace_->capture();
+      report.timeseries = std::move(timeseries_);
+    }
+    return report;
+  }
+
+ private:
+  struct Terminal {
+    std::uint16_t node = 0;
+    std::unique_ptr<Endpoint> endpoint;
+  };
+
+  [[nodiscard]] bool faults_on() const { return !config_.faults.empty(); }
+
+  /// Compiles the fault plan into one normalized schedule per edge: the
+  /// configured per-edge windows, plus a permanent outage on every edge
+  /// incident to a fail-stop relay from its failure instant. Channels hold
+  /// pointers into the vector. With an empty plan nothing here runs and
+  /// every channel keeps its null-schedule fast path (bit-identical to a
+  /// build without fault support).
+  void build_fault_schedules() {
+    if (!faults_on()) return;
+    fault_schedules_.resize(config_.edges.size());
+    for (std::size_t e = 0; e < config_.faults.edges.size(); ++e)
+      fault_schedules_[e] = config_.faults.edges[e];
+    for (const sim::RelayFailStop& failure : config_.faults.relay_failures) {
+      for (std::size_t e = 0; e < config_.edges.size(); ++e) {
+        if (config_.edges[e].src == failure.node ||
+            config_.edges[e].dst == failure.node)
+          fault_schedules_[e].add_window(failure.at, 0);
+      }
+    }
+    for (sim::LinkFaultSchedule& schedule : fault_schedules_)
       schedule.normalize();
   }
 
-  // Hub out-edge port order (edge-id order, as in plan_dag).
-  std::vector<std::vector<std::uint16_t>> out_edges(node_count);
-  for (std::size_t e = 0; e < config.edges.size(); ++e)
-    out_edges[config.edges[e].src].push_back(static_cast<std::uint16_t>(e));
-
-  // Seed draw order is part of the determinism contract (and of the legacy
-  // star reproduction): hubs first in node order, then forward channels in
-  // edge order, then implicit control wires in domain order.
-  std::vector<std::unique_ptr<switchdev::PortSwitch>> hubs(node_count);
-  for (std::size_t v = 0; v < node_count; ++v) {
-    if (kind(v) != DagNodeKind::kHub) continue;
-    const std::uint64_t seed =
-        config.nodes[v].seed.has_value() ? *config.nodes[v].seed : seeder();
-    switchdev::PortSwitch::Config hub_config;
-    hub_config.protocol = config.protocol.protocol;
-    hub_config.internal_error_rate = config.hub_internal_error_rate;
-    hub_config.forward_latency = config.hub_latency;
-    hub_config.ports = out_edges[v].size();
-    hubs[v] = std::make_unique<switchdev::PortSwitch>(queue, hub_config, seed);
-  }
-  std::vector<std::unique_ptr<sim::LinkChannel>> channels(config.edges.size());
-  for (std::size_t e = 0; e < config.edges.size(); ++e) {
-    const DagEdge& edge = config.edges[e];
-    const std::uint64_t seed = edge.seed.has_value() ? *edge.seed : seeder();
-    channels[e] = std::make_unique<sim::LinkChannel>(
-        queue,
-        make_error_model(edge.ber, edge.burst_injection_rate,
-                         edge.burst_symbols),
-        seed, config.slot, edge.latency);
-    if (faults_on) channels[e]->set_fault_schedule(&fault_schedules[e]);
-  }
-
-  std::vector<std::unique_ptr<switchdev::RelaySwitch>> relays(node_count);
-  for (std::size_t v = 0; v < node_count; ++v) {
-    if (kind(v) == DagNodeKind::kRelay)
-      relays[v] = std::make_unique<switchdev::RelaySwitch>(
-          queue, node_label(config, v));
-  }
-
-  // Per-hop domains. Unpaired domains carry acknowledgments standalone on
-  // the implicit reverse control wire (there is no reverse data to
-  // piggyback on); paired domains keep the configured policy. Every hop is
-  // provisioned with exactly the VCs the flows demand (1 + the largest VC
-  // in use — one VC when every flow rides VC 0, the legacy wire image) and
-  // the fabric-wide ECN threshold.
-  ProtocolConfig hop_protocol = config.protocol;
-  hop_protocol.num_vcs = 1;
-  for (const DagFlow& flow : config.flows)
-    hop_protocol.num_vcs =
-        std::max<std::size_t>(hop_protocol.num_vcs, flow.vc + 1u);
-  hop_protocol.ecn_threshold = config.ecn_threshold;
-  ProtocolConfig unpaired_protocol = hop_protocol;
-  unpaired_protocol.ack_policy = link::AckPolicy::kStandalone;
-
-  std::vector<std::unique_ptr<Endpoint>> terminal_endpoints;
-  std::map<std::pair<std::uint16_t, std::uint32_t>, Endpoint*> terminal_of;
-  std::map<std::pair<std::uint16_t, std::uint32_t>, std::size_t> relay_port_of;
-  std::vector<std::vector<DagRelayPort>> relay_ports(node_count);
-  auto attach = [&](std::uint16_t node, std::uint32_t rep,
-                    const ProtocolConfig& protocol) -> Endpoint* {
-    const std::pair<std::uint16_t, std::uint32_t> key{node, rep};
-    if (kind(node) == DagNodeKind::kRelay) {
-      const auto it = relay_port_of.find(key);
-      if (it != relay_port_of.end()) return &relays[node]->port(it->second);
-      const std::size_t port = relays[node]->add_port(protocol);
-      relay_port_of.emplace(key, port);
-      relay_ports[node].push_back(DagRelayPort{});
-      return &relays[node]->port(port);
+  /// Seed draw order is part of the determinism contract (and of the legacy
+  /// star reproduction): hubs first in node order, then forward channels in
+  /// edge order; build_domains draws the implicit control wires after
+  /// these, in domain order.
+  void build_switches_and_channels() {
+    const std::size_t node_count = config_.nodes.size();
+    hubs_.resize(node_count);
+    relays_.resize(node_count);
+    for (std::size_t v = 0; v < node_count; ++v) {
+      const DagNode& node = config_.nodes[v];
+      if (node.kind != DagNodeKind::kHub) continue;
+      switchdev::PortSwitch::Config hub_config;
+      hub_config.protocol = config_.protocol.protocol;
+      hub_config.internal_error_rate = config_.hub_internal_error_rate;
+      hub_config.forward_latency = config_.hub_latency;
+      // One port per out-edge, in edge-id order (as in plan_dag).
+      hub_config.ports = static_cast<std::size_t>(std::count_if(
+          config_.edges.begin(), config_.edges.end(),
+          [v](const DagEdge& edge) { return edge.src == v; }));
+      hubs_[v] = std::make_unique<switchdev::PortSwitch>(
+          queue_, hub_config, node.seed.has_value() ? *node.seed : seeder_());
     }
-    const auto it = terminal_of.find(key);
-    if (it != terminal_of.end()) return it->second;
-    terminal_endpoints.push_back(std::make_unique<Endpoint>(
-        queue, protocol, node_label(config, node)));
-    terminal_of.emplace(key, terminal_endpoints.back().get());
-    return terminal_endpoints.back().get();
-  };
-  auto note_relay_edges = [&](std::uint16_t node, std::uint32_t rep,
-                              std::uint16_t rx_edge, std::uint16_t tx_edge) {
-    if (kind(node) != DagNodeKind::kRelay) return;
-    DagRelayPort& port = relay_ports[node][relay_port_of.at({node, rep})];
-    if (rx_edge != DagRelayPort::kNoEdge) port.rx_edge = rx_edge;
-    if (tx_edge != DagRelayPort::kNoEdge) port.tx_edge = tx_edge;
-  };
-
-  // Wires one domain direction: the TX stamps the first hub stage's port,
-  // each hub forwards on its stage's port and hands the next stage's port
-  // on as the tag, and the last edge delivers into the RX.
-  auto wire_segment = [&](const DagPlan::Segment& segment, Endpoint* tx,
-                          Endpoint* rx) {
-    tx->set_dest_port(segment.hubs.empty() ? std::uint16_t{0}
-                                           : segment.hubs.front().port);
-    std::uint16_t into = segment.egress_edge;
-    for (std::size_t k = 0; k < segment.hubs.size(); ++k) {
-      const DagPlan::HubStage& stage = segment.hubs[k];
-      switchdev::PortSwitch* const hub = hubs[stage.hub].get();
-      channels[into]->set_receiver([hub](sim::FlitEnvelope&& envelope) {
-        hub->on_flit(std::move(envelope));
-      });
-      const std::uint16_t next_tag = k + 1 < segment.hubs.size()
-                                         ? segment.hubs[k + 1].port
-                                         : std::uint16_t{0};
-      hub->set_output(stage.port, channels[stage.edge].get(), next_tag);
-      into = stage.edge;
+    for (std::size_t e = 0; e < config_.edges.size(); ++e) {
+      const DagEdge& edge = config_.edges[e];
+      channels_.push_back(std::make_unique<sim::LinkChannel>(
+          queue_,
+          make_error_model(edge.ber, edge.burst_injection_rate,
+                           edge.burst_symbols),
+          edge.seed.has_value() ? *edge.seed : seeder_(), config_.slot,
+          edge.latency));
+      if (faults_on()) channels_[e]->set_fault_schedule(&fault_schedules_[e]);
     }
-    channels[segment.ingress_edge]->set_receiver(
-        [rx](sim::FlitEnvelope&& envelope) {
-          rx->on_flit(std::move(envelope));
-        });
-  };
-
-  struct Domain {
-    std::uint32_t rep = 0;
-    Endpoint* a = nullptr;
-    Endpoint* b = nullptr;
-    sim::LinkChannel* forward = nullptr;
-    sim::LinkChannel* reverse = nullptr;
-  };
-  std::vector<Domain> domains;
-  std::vector<std::unique_ptr<sim::LinkChannel>> control_channels;
-  std::vector<std::uint32_t> rep_of(plan.segments.size(), 0);
-  std::vector<std::uint8_t> processed(plan.segments.size(), 0);
-  // Per-segment transmitter/receiver endpoints, for the fault controller's
-  // hop-down handlers, reconciliation reads, and quiesce probes.
-  std::vector<Endpoint*> seg_tx(plan.segments.size(), nullptr);
-  std::vector<Endpoint*> seg_rx(plan.segments.size(), nullptr);
-  for (std::size_t si = 0; si < plan.segments.size(); ++si) {
-    if (processed[si]) continue;
-    const DagPlan::Segment& segment = plan.segments[si];
-    const bool paired = segment.mate.has_value();
-    processed[si] = 1;
-    rep_of[si] = static_cast<std::uint32_t>(si);
-    if (paired) {
-      processed[*segment.mate] = 1;
-      rep_of[*segment.mate] = static_cast<std::uint32_t>(si);
+    for (std::size_t v = 0; v < node_count; ++v) {
+      if (config_.nodes[v].kind == DagNodeKind::kRelay)
+        relays_[v] = std::make_unique<switchdev::RelaySwitch>(
+            queue_, node_label(config_, v));
     }
-    const ProtocolConfig& protocol =
-        paired ? hop_protocol : unpaired_protocol;
+  }
+
+  /// Instantiates every ISN domain in domain order (a segment, plus its
+  /// mate when paired, at the lower segment index): one endpoint at each
+  /// termination — a new relay port, or a new terminal NIC — and the wires
+  /// between them, filling both segments' ends. Unpaired domains carry
+  /// acknowledgments standalone on an implicit reverse control wire (there
+  /// is no reverse data to piggyback on); paired domains keep the
+  /// configured policy. Every hop is provisioned with exactly the VCs the
+  /// flows demand (1 + the largest VC in use — one VC when every flow rides
+  /// VC 0, the legacy wire image) and the fabric-wide ECN threshold.
+  void build_domains() {
+    ProtocolConfig hop_protocol = config_.protocol;
+    hop_protocol.num_vcs = 1;
+    for (const DagFlow& flow : config_.flows)
+      hop_protocol.num_vcs =
+          std::max<std::size_t>(hop_protocol.num_vcs, flow.vc + 1u);
+    hop_protocol.ecn_threshold = config_.ecn_threshold;
     // Credit flow control per domain direction: the window for data flowing
     // toward a termination equals the bounded-buffer depth configured on
     // the edge entering it (the relay's store-and-forward slots, or the
     // sink terminal's notional consume buffer).
-    auto resolved_credits = [&](const DagPlan::Segment& s) {
-      return config.edges[s.ingress_edge].credits.value_or(config.hop_credits);
+    auto credits_into = [&](const DagPlan::Segment& segment) {
+      return config_.edges[segment.ingress_edge].credits.value_or(
+          config_.hop_credits);
     };
-    ProtocolConfig protocol_a = protocol;
-    ProtocolConfig protocol_b = protocol;
-    protocol_a.tx_credits = resolved_credits(segment);
-    protocol_b.rx_credits = protocol_a.tx_credits;
-    if (paired) {
-      const DagPlan::Segment& mate = plan.segments[*segment.mate];
-      protocol_b.tx_credits = resolved_credits(mate);
-      protocol_a.rx_credits = protocol_b.tx_credits;
-    }
 
-    Domain domain;
-    domain.rep = static_cast<std::uint32_t>(si);
-    domain.a = attach(segment.origin, domain.rep, protocol_a);
-    domain.b = attach(segment.peer, domain.rep, protocol_b);
-    domain.forward = channels[segment.egress_edge].get();
-    if (paired) {
-      domain.reverse = channels[plan.segments[*segment.mate].egress_edge].get();
-    } else {
-      const DagEdge& edge = config.edges[segment.egress_edge];
-      control_channels.push_back(std::make_unique<sim::LinkChannel>(
-          queue,
+    ends_.resize(plan_.segments.size());
+    for (std::size_t si = 0; si < plan_.segments.size(); ++si) {
+      const DagPlan::Segment& segment = plan_.segments[si];
+      if (segment.mate.has_value() && *segment.mate < si) continue;  // built
+      const DagPlan::Segment* const mate =
+          segment.mate.has_value() ? &plan_.segments[*segment.mate] : nullptr;
+      ProtocolConfig protocol_a = hop_protocol;
+      if (mate == nullptr) protocol_a.ack_policy = link::AckPolicy::kStandalone;
+      ProtocolConfig protocol_b = protocol_a;
+      protocol_a.tx_credits = credits_into(segment);
+      protocol_b.rx_credits = protocol_a.tx_credits;
+      if (mate != nullptr) {
+        protocol_b.tx_credits = credits_into(*mate);
+        protocol_a.rx_credits = protocol_b.tx_credits;
+      }
+
+      SegmentEnds& ends = ends_[si];
+      ends.tx = add_termination(segment.origin, protocol_a, ends.tx_port);
+      ends.rx = add_termination(segment.peer, protocol_b, ends.rx_port);
+      ends.tx->set_output(channels_[segment.egress_edge].get());
+      wire_segment(segment, ends.tx, ends.rx);
+      if (mate != nullptr) {
+        ends_[*segment.mate] =
+            SegmentEnds{ends.rx, ends.tx, ends.rx_port, ends.tx_port};
+        ends.rx->set_output(channels_[mate->egress_edge].get());
+        wire_segment(*mate, ends.rx, ends.tx);
+        continue;
+      }
+      const DagEdge& edge = config_.edges[segment.egress_edge];
+      control_wires_.push_back(std::make_unique<sim::LinkChannel>(
+          queue_,
           make_error_model(edge.ber, edge.burst_injection_rate,
                            edge.burst_symbols),
-          seeder(), config.slot, edge.latency));
-      domain.reverse = control_channels.back().get();
+          seeder_(), config_.slot, edge.latency));
+      sim::LinkChannel* const wire = control_wires_.back().get();
       // The implicit control wire shares the forward edge's physical link:
       // when that cable is down, acknowledgments die with the data (this is
       // what starves the TX into declaring the hop dead). Paired domains
       // route acks over the mate edge, which carries its own schedule —
       // fault plans for bidirectional hops must down both edges.
-      if (faults_on)
-        domain.reverse->set_fault_schedule(
-            &fault_schedules[segment.egress_edge]);
-    }
-
-    domain.a->set_output(domain.forward);
-    domain.b->set_output(domain.reverse);
-    wire_segment(segment, domain.a, domain.b);
-    if (paired) {
-      const DagPlan::Segment& mate = plan.segments[*segment.mate];
-      wire_segment(mate, domain.b, domain.a);
-      note_relay_edges(segment.origin, domain.rep,
-                       mate.ingress_edge, segment.egress_edge);
-      note_relay_edges(segment.peer, domain.rep,
-                       segment.ingress_edge, mate.egress_edge);
-    } else {
-      Endpoint* const side_a = domain.a;
-      domain.reverse->set_receiver([side_a](sim::FlitEnvelope&& envelope) {
-        side_a->on_flit(std::move(envelope));
+      if (faults_on())
+        wire->set_fault_schedule(&fault_schedules_[segment.egress_edge]);
+      ends.rx->set_output(wire);
+      wire->set_receiver([tx = ends.tx](sim::FlitEnvelope&& envelope) {
+        tx->on_flit(std::move(envelope));
       });
-      note_relay_edges(segment.origin, domain.rep, DagRelayPort::kNoEdge,
-                       segment.egress_edge);
-      note_relay_edges(segment.peer, domain.rep, segment.ingress_edge,
-                       DagRelayPort::kNoEdge);
     }
-    seg_tx[si] = domain.a;
-    seg_rx[si] = domain.b;
-    if (paired) {
-      seg_tx[*segment.mate] = domain.b;
-      seg_rx[*segment.mate] = domain.a;
-    }
-    domains.push_back(domain);
+    // Domains were built in ascending order, so ordering the NICs by node
+    // (stably) gives the (node, domain) trace-registration order.
+    std::stable_sort(terminals_.begin(), terminals_.end(),
+                     [](const Terminal& a, const Terminal& b) {
+                       return a.node < b.node;
+                     });
   }
 
-  // Relay flow tables + QoS plumbing: every relay learns each flow's VC
-  // (flow ids are fabric-global, and an ingress relay accounts by VC even
-  // when only the egress relay routes the flow), the scheduling policy, and
-  // the per-VC DRR weights (plan_dag proved flows sharing a VC agree).
-  for (std::size_t v = 0; v < node_count; ++v) {
-    if (relays[v] == nullptr) continue;
-    relays[v]->set_egress_policy(config.egress_policy);
-    for (std::size_t f = 0; f < config.flows.size(); ++f) {
-      const DagFlow& flow = config.flows[f];
-      if (flow.vc != 0)
-        relays[v]->set_flow_vc(static_cast<std::uint16_t>(f), flow.vc);
-      relays[v]->set_vc_weight(flow.vc, flow.weight);
+  /// A new termination at `node` for one domain: the relay's next port (its
+  /// index stored in `port`), or a new terminal endpoint. Each domain
+  /// terminates at two distinct nodes, so no endpoint is ever shared.
+  Endpoint* add_termination(std::uint16_t node, const ProtocolConfig& protocol,
+                            std::size_t& port) {
+    if (relays_[node] != nullptr) {
+      port = relays_[node]->add_port(protocol);
+      return &relays_[node]->port(port);
     }
+    terminals_.push_back(Terminal{
+        node, std::make_unique<Endpoint>(queue_, protocol,
+                                         node_label(config_, node))});
+    return terminals_.back().endpoint.get();
   }
-  for (std::size_t f = 0; f < config.flows.size(); ++f) {
-    for (const std::uint32_t si : plan.flow_segments[f]) {
-      const DagPlan::Segment& segment = plan.segments[si];
-      if (kind(segment.origin) != DagNodeKind::kRelay) continue;
-      relays[segment.origin]->set_route(
-          static_cast<std::uint16_t>(f),
-          relay_port_of.at({segment.origin, rep_of[si]}));
+
+  /// Wires one domain direction: the TX stamps the first hub stage's port,
+  /// each hub forwards on its stage's port and hands the next stage's port
+  /// on as the tag, and the last edge delivers into the RX.
+  void wire_segment(const DagPlan::Segment& segment, Endpoint* tx,
+                    Endpoint* rx) {
+    tx->set_dest_port(segment.hubs.empty() ? std::uint16_t{0}
+                                           : segment.hubs.front().port);
+    std::uint16_t into = segment.egress_edge;
+    for (std::size_t k = 0; k < segment.hubs.size(); ++k) {
+      const DagPlan::HubStage& stage = segment.hubs[k];
+      switchdev::PortSwitch* const hub = hubs_[stage.hub].get();
+      channels_[into]->set_receiver([hub](sim::FlitEnvelope&& envelope) {
+        hub->on_flit(std::move(envelope));
+      });
+      const std::uint16_t next_tag = k + 1 < segment.hubs.size()
+                                         ? segment.hubs[k + 1].port
+                                         : std::uint16_t{0};
+      hub->set_output(stage.port, channels_[stage.edge].get(), next_tag);
+      into = stage.edge;
+    }
+    channels_[segment.ingress_edge]->set_receiver(
+        [rx](sim::FlitEnvelope&& envelope) {
+          rx->on_flit(std::move(envelope));
+        });
+  }
+
+  /// Relay flow tables + QoS plumbing: every relay learns each flow's VC
+  /// (flow ids are fabric-global, and an ingress relay accounts by VC even
+  /// when only the egress relay routes the flow), the scheduling policy,
+  /// and the per-VC DRR weights (plan_dag proved flows sharing a VC agree).
+  void install_routes() {
+    for (const std::unique_ptr<switchdev::RelaySwitch>& relay : relays_) {
+      if (relay == nullptr) continue;
+      relay->set_egress_policy(config_.egress_policy);
+      for (std::size_t f = 0; f < config_.flows.size(); ++f) {
+        const DagFlow& flow = config_.flows[f];
+        if (flow.vc != 0)
+          relay->set_flow_vc(static_cast<std::uint16_t>(f), flow.vc);
+        relay->set_vc_weight(flow.vc, flow.weight);
+      }
+    }
+    for (std::size_t f = 0; f < config_.flows.size(); ++f) {
+      for (const std::uint32_t si : plan_.flow_segments[f]) {
+        const std::uint16_t origin = plan_.segments[si].origin;
+        if (relays_[origin] != nullptr)
+          relays_[origin]->set_route(static_cast<std::uint16_t>(f),
+                                     ends_[si].tx_port);
+      }
     }
   }
 
-  // Fault management plane: resolve each planned reroute to its runtime
-  // pointers and install hop-down handlers on the transmitters of doomed
-  // segments. Endpoints on a fail-stop relay still simulate (their incident
-  // links just go dark), but their events carry no recoverable state, so
-  // the controller never watches them.
-  std::unique_ptr<FaultController> controller;
-  if (faults_on && !plan.reroutes.empty()) {
-    controller = std::make_unique<FaultController>(
-        queue, config.reroute_poll, config.reroute_quiesce_limit,
-        plan.segments.size());
-    for (const DagPlan::Reroute& reroute : plan.reroutes) {
-      const DagPlan::Segment& dead = plan.segments[reroute.dead_segment];
+  /// Fault management plane: resolves each planned reroute to its runtime
+  /// endpoints and relay ports, and installs hop-down handlers on the
+  /// transmitters of doomed segments. Endpoints on a fail-stop relay still
+  /// simulate (their incident links just go dark), but their events carry
+  /// no recoverable state, so the controller never watches them.
+  void build_fault_controller() {
+    if (!faults_on() || plan_.reroutes.empty()) return;
+    std::vector<std::uint8_t> node_failed(config_.nodes.size(), 0);
+    for (const sim::RelayFailStop& failure : config_.faults.relay_failures)
+      node_failed[failure.node] = 1;
+    controller_ = std::make_unique<FaultController>(
+        queue_, config_.reroute_poll, config_.reroute_quiesce_limit,
+        plan_.segments.size());
+    for (const DagPlan::Reroute& reroute : plan_.reroutes) {
+      const DagPlan::Segment& dead = plan_.segments[reroute.dead_segment];
       FaultController::Item item;
       item.reroute = &reroute;
       item.peer_failed = node_failed[dead.peer] != 0;
-      item.peer_rx = item.peer_failed ? nullptr : seg_rx[reroute.dead_segment];
-      if (kind(dead.origin) == DagNodeKind::kRelay) {
-        item.origin_relay = relays[dead.origin].get();
-        item.old_port =
-            relay_port_of.at({dead.origin, rep_of[reroute.dead_segment]});
+      if (!item.peer_failed) item.peer_rx = ends_[reroute.dead_segment].rx;
+      if (relays_[dead.origin] != nullptr) {
+        item.origin_relay = relays_[dead.origin].get();
+        item.old_port = ends_[reroute.dead_segment].tx_port;
+        if (!reroute.backup_segments.empty())
+          item.new_port = ends_[reroute.backup_segments.front()].tx_port;
       }
-      if (!reroute.backup_segments.empty()) {
-        const std::uint32_t first = reroute.backup_segments.front();
-        if (item.origin_relay != nullptr)
-          item.new_port = relay_port_of.at({dead.origin, rep_of[first]});
-        for (const std::uint32_t si : reroute.backup_segments) {
-          const DagPlan::Segment& segment = plan.segments[si];
-          if (kind(segment.origin) != DagNodeKind::kRelay) continue;
-          item.route_installs.emplace_back(
-              relays[segment.origin].get(),
-              relay_port_of.at({segment.origin, rep_of[si]}));
-        }
+      for (const std::uint32_t si : reroute.backup_segments) {
+        const std::uint16_t origin = plan_.segments[si].origin;
+        if (relays_[origin] != nullptr)
+          item.route_installs.emplace_back(relays_[origin].get(),
+                                           ends_[si].tx_port);
       }
       // Old-path suffix: every segment after the dead one still drains
       // in-flight flits toward the destination; the quiesce phase waits for
       // them so re-injected traffic cannot overtake. Probes on a fail-stop
       // relay are skipped — anything it holds is lost, and waiting on its
       // frozen queues would only burn the poll budget.
-      const std::vector<std::uint32_t>& fsegs =
-          plan.flow_segments[reroute.flow];
-      auto it = std::find(fsegs.begin(), fsegs.end(), reroute.dead_segment);
-      assert(it != fsegs.end());
-      for (++it; it != fsegs.end(); ++it) {
-        const DagPlan::Segment& segment = plan.segments[*it];
-        if (node_failed[segment.origin] != 0) continue;
-        if (kind(segment.origin) == DagNodeKind::kRelay)
-          item.suffix_relays.push_back(relays[segment.origin].get());
-        item.suffix_tx.push_back(seg_tx[*it]);
+      const std::vector<std::uint32_t>& path =
+          plan_.flow_segments[reroute.flow];
+      auto it = std::find(path.begin(), path.end(), reroute.dead_segment);
+      assert(it != path.end());
+      for (++it; it != path.end(); ++it) {
+        const std::uint16_t origin = plan_.segments[*it].origin;
+        if (node_failed[origin] != 0) continue;
+        if (relays_[origin] != nullptr)
+          item.suffix_relays.push_back(relays_[origin].get());
+        item.suffix_tx.push_back(ends_[*it].tx);
       }
-      controller->add_item(std::move(item));
+      controller_->add_item(std::move(item));
     }
-    for (std::uint32_t si = 0;
-         si < static_cast<std::uint32_t>(plan.segments.size()); ++si) {
+    FaultController* const controller = controller_.get();
+    for (std::uint32_t si = 0; si < ends_.size(); ++si) {
       if (!controller->watches(si)) continue;
-      FaultController* const ctrl = controller.get();
-      seg_tx[si]->set_hop_down([ctrl, si](Endpoint::HopDownEvent&& event) {
-        ctrl->on_hop_down(si, std::move(event));
+      ends_[si].tx->set_hop_down(
+          [controller, si](Endpoint::HopDownEvent&& event) {
+            controller->on_hop_down(si, std::move(event));
+          });
+    }
+  }
+
+  /// Trace-component registration, in a fixed deterministic order: terminal
+  /// endpoints in (node, domain) order, then per relay its port endpoints
+  /// and its routing fabric (".q"), then the forward channels, the implicit
+  /// control wires, and the reroute controller. Component ids are the
+  /// registration indices, so a capture is comparable across runs and
+  /// worker counts.
+  void register_trace() {
+    obs::TraceSink* const sink = trace_.get();
+    if (sink == nullptr) return;
+    for (const Terminal& terminal : terminals_)
+      terminal.endpoint->set_trace(
+          sink, sink->add_component(terminal.endpoint->name()));
+    for (const std::unique_ptr<switchdev::RelaySwitch>& relay : relays_) {
+      if (relay == nullptr) continue;
+      for (std::size_t p = 0; p < relay->ports(); ++p) {
+        Endpoint& port = relay->port(p);
+        port.set_trace(sink, sink->add_component(port.name()));
+      }
+      std::string fabric_name = relay->name();
+      fabric_name += ".q";
+      relay->set_trace(sink, sink->add_component(std::move(fabric_name)));
+    }
+    for (std::size_t e = 0; e < channels_.size(); ++e) {
+      std::string wire_name = "wire.e";
+      wire_name += std::to_string(e);
+      channels_[e]->set_trace(sink, sink->add_component(std::move(wire_name)));
+    }
+    for (std::size_t w = 0; w < control_wires_.size(); ++w) {
+      std::string wire_name = "ctrl.w";
+      wire_name += std::to_string(w);
+      control_wires_[w]->set_trace(sink,
+                                   sink->add_component(std::move(wire_name)));
+    }
+    if (controller_ != nullptr)
+      controller_->set_trace(sink, sink->add_component("reroute"));
+  }
+
+  /// Flow sources and sinks: every terminal delivers into deliver(), and
+  /// every flow's first-hop endpoint pulls its payloads from pull().
+  void build_flows() {
+    for (const Terminal& terminal : terminals_) {
+      terminal.endpoint->set_deliver(
+          [this, node = terminal.node](std::span<const std::uint8_t> payload,
+                                       const sim::FlitEnvelope& envelope) {
+            deliver(node, payload, envelope);
+          });
+    }
+    flows_.resize(config_.flows.size());
+    for (std::size_t f = 0; f < config_.flows.size(); ++f) {
+      const DagFlow& spec = config_.flows[f];
+      FlowState& flow = flows_[f];
+      flow.source = ends_[plan_.flow_segments[f].front()].tx;
+      flow.source->set_flow_id(static_cast<std::uint16_t>(f));
+      if (spec.vc != 0) {
+        flow.source->set_tx_vc(spec.vc);
+        ends_[plan_.flow_segments[f].back()].rx->set_rx_flow_vc(
+            static_cast<std::uint16_t>(f), spec.vc);
+      }
+      if (spec.arrival == ArrivalKind::kPaced ||
+          spec.arrival == ArrivalKind::kPoisson ||
+          spec.arrival == ArrivalKind::kOnOff) {
+        ArrivalSpec arrival;
+        arrival.kind = spec.arrival;
+        arrival.interval = spec.interval;
+        arrival.on_mean_flits = spec.on_mean_flits;
+        arrival.off_mean = spec.off_mean;
+        // Private per-flow stream, NOT drawn from the fabric seeder: an
+        // extra seeder draw here would shift every channel seed and change
+        // the wire trajectory of flows that use no randomness at all.
+        arrival.seed =
+            config_.seed ^
+            (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(f) + 1)) ^
+            spec.arrival_seed;
+        flow.arrivals.emplace(arrival);
+      } else if (spec.arrival == ArrivalKind::kClosedLoop) {
+        flow.loop.emplace(spec.window, spec.think);
+      }
+      if (sample_) {
+        const std::size_t depth = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kLatencyRingSlots,
+                                    std::max<std::uint64_t>(spec.flits, 1)));
+        flow.ring_at.assign(depth, 0);
+        flow.ring_tag.assign(depth, ~std::uint64_t{0});
+      }
+      flow.source->set_source(
+          [this, f](std::uint64_t index) { return pull(f, index); });
+    }
+  }
+
+  /// Terminal delivery at `node`: scoreboards the payload against its flow,
+  /// samples its latency, and frees a closed-loop window slot. A flit whose
+  /// flow tag names another destination counts as misrouted.
+  void deliver(std::uint16_t node, std::span<const std::uint8_t> payload,
+               const sim::FlitEnvelope& envelope) {
+    const std::size_t f = envelope.flow_id;
+    if (!envelope.has_truth || f >= flows_.size() ||
+        config_.flows[f].dst != node) {
+      misrouted_ += 1;
+      return;
+    }
+    FlowState& flow = flows_[f];
+    flow.board.on_deliver(payload, envelope);
+    delivered_ += 1;
+    if (sample_) {
+      // The ring slot still carries this truth index unless the flow fell
+      // more than kLatencyRingSlots behind its newest pull; an overwritten
+      // slot is a MISS, counted instead of silently skipped (samples must
+      // never undercount without a signal).
+      const std::size_t slot = static_cast<std::size_t>(envelope.truth_index) %
+                               flow.ring_tag.size();
+      if (flow.ring_tag[slot] == envelope.truth_index) {
+        const TimePs delay = queue_.now() - flow.ring_at[slot];
+        flow.latency.add(delay);
+        if (config_.debug_latency_samples) flow.debug_samples.push_back(delay);
+      } else {
+        flow.sample_misses += 1;
+      }
+    }
+    if (flow.loop.has_value()) {
+      // Closed loop: this completion frees a window slot after the think
+      // time, then re-kicks the source.
+      queue_.schedule(flow.loop->think(), [this, f] {
+        flows_[f].loop->on_ready();
+        flows_[f].source->kick();
       });
     }
   }
 
-  // Trace-component registration, in a fixed deterministic order: terminal
-  // endpoints (map order), then per-relay port endpoints and the relay's
-  // routing fabric, forward channels, implicit control wires, and the
-  // reroute controller. Component ids are the registration indices, so a
-  // capture is comparable across runs and worker counts.
-  if (trace_sink != nullptr) {
-    obs::TraceSink* const sink = trace_sink.get();
-    for (const auto& [key, endpoint] : terminal_of)
-      endpoint->set_trace(sink, sink->add_component(endpoint->name()));
-    for (std::size_t v = 0; v < node_count; ++v) {
-      if (relays[v] == nullptr) continue;
-      for (std::size_t p = 0; p < relays[v]->ports(); ++p) {
-        Endpoint& port = relays[v]->port(p);
-        port.set_trace(sink, sink->add_component(port.name()));
-      }
-      std::string fabric_name = relays[v]->name();
-      fabric_name += ".q";
-      relays[v]->set_trace(sink, sink->add_component(std::move(fabric_name)));
-    }
-    for (std::size_t e = 0; e < channels.size(); ++e) {
-      std::string wire_name = "wire.e";
-      wire_name += std::to_string(e);
-      channels[e]->set_trace(sink, sink->add_component(std::move(wire_name)));
-    }
-    for (std::size_t w = 0; w < control_channels.size(); ++w) {
-      std::string wire_name = "ctrl.w";
-      wire_name += std::to_string(w);
-      control_channels[w]->set_trace(
-          sink, sink->add_component(std::move(wire_name)));
-    }
-    if (controller != nullptr)
-      controller->set_trace(sink, sink->add_component("reroute"));
-  }
-
-  // Flow sources and sinks. Per-flow runtime state for arrival processes
-  // (one armed wake-up per rate-shaped flow), closed-loop windows, and
-  // latency sampling. The sampling footprint is fixed per flow — a
-  // log-bucketed histogram plus a kLatencyRingSlots timestamp ring keyed
-  // by truth index — so memory no longer grows with run length (raw
-  // samples only under the debug opt-in). The vector is sized once, so the
-  // lambdas' element pointers stay stable for the whole run.
-  struct FlowRuntime {
-    stats::LatencyHistogram latency;
-    std::vector<TimePs> ring_at;          // inject timestamp per ring slot
-    std::vector<std::uint64_t> ring_tag;  // truth index stamped in the slot
-    std::vector<TimePs> debug_samples;
-    std::uint64_t sample_misses = 0;
-    bool pace_armed = false;
-    std::optional<ArrivalProcess> arrivals;
-    std::optional<ClosedLoopWindow> loop;
-    Endpoint* source = nullptr;  // closed-loop completion kick target
-  };
-  std::vector<txn::StreamScoreboard> boards(config.flows.size());
-  std::vector<std::uint64_t> offered(config.flows.size(), 0);
-  std::vector<FlowRuntime> flow_runtime(config.flows.size());
-  const bool sample = config.sample_latency || config.debug_latency_samples;
-  const bool debug = config.debug_latency_samples;
-  std::uint64_t misrouted = 0;
-  std::uint64_t trace_delivered = 0;  ///< time-series goodput counter
-  for (const auto& [key, endpoint] : terminal_of) {
-    const std::uint16_t node = key.first;
-    txn::StreamScoreboard* const board_base = boards.data();
-    const DagFlow* const flow_base = config.flows.data();
-    const std::size_t flow_count = config.flows.size();
-    std::uint64_t* const misrouted_ptr = &misrouted;
-    std::uint64_t* const delivered_ptr = &trace_delivered;
-    FlowRuntime* const runtime_base = flow_runtime.data();
-    sim::EventQueue* const queue_ptr = &queue;
-    endpoint->set_deliver([board_base, flow_base, flow_count, misrouted_ptr,
-                           delivered_ptr, node, runtime_base, queue_ptr,
-                           sample, debug](std::span<const std::uint8_t> payload,
-                                          const sim::FlitEnvelope& envelope) {
-      if (envelope.has_truth && envelope.flow_id < flow_count &&
-          flow_base[envelope.flow_id].dst == node) {
-        board_base[envelope.flow_id].on_deliver(payload, envelope);
-        *delivered_ptr += 1;
-        FlowRuntime& runtime = runtime_base[envelope.flow_id];
-        if (sample) {
-          // The ring slot still carries this truth index unless the flow
-          // fell more than kLatencyRingSlots behind its newest pull; an
-          // overwritten slot is a MISS, counted instead of silently
-          // skipped (samples must never undercount without a signal).
-          const std::size_t slot =
-              static_cast<std::size_t>(envelope.truth_index) %
-              runtime.ring_tag.size();
-          if (runtime.ring_tag[slot] == envelope.truth_index) {
-            const TimePs delay = queue_ptr->now() - runtime.ring_at[slot];
-            runtime.latency.add(delay);
-            if (debug) runtime.debug_samples.push_back(delay);
-          } else {
-            runtime.sample_misses += 1;
-          }
-        }
-        if (runtime.loop.has_value()) {
-          // Closed loop: this completion frees a window slot after the
-          // think time, then re-kicks the source.
-          ClosedLoopWindow* const loop = &*runtime.loop;
-          Endpoint* const src = runtime.source;
-          queue_ptr->schedule(loop->think(), [loop, src] {
-            loop->on_ready();
-            src->kick();
+  /// Flow f's source: the payload for stream position `index`, or nullopt
+  /// while the budget is spent or the arrival process or closed-loop window
+  /// holds it back.
+  std::optional<std::vector<std::uint8_t>> pull(std::size_t f,
+                                                std::uint64_t index) {
+    const DagFlow& spec = config_.flows[f];
+    FlowState& flow = flows_[f];
+    if (index >= spec.flits) return std::nullopt;
+    TimePs inject_stamp = queue_.now();
+    if (flow.arrivals.has_value()) {
+      // Rate-shaped source: index i is offered no earlier than its arrival
+      // due-time. A premature pull arms one wake-up kick at the due
+      // instant, so the flow needs no external traffic to resume (and arms
+      // at most one timer however often the endpoint polls meanwhile).
+      const TimePs due = flow.arrivals->due(index);
+      if (inject_stamp < due) {
+        if (!flow.pace_armed) {
+          flow.pace_armed = true;
+          queue_.schedule(due - inject_stamp, [this, f] {
+            flows_[f].pace_armed = false;
+            flows_[f].source->kick();
           });
         }
-      } else {
-        *misrouted_ptr += 1;
+        return std::nullopt;
       }
-    });
-  }
-  std::vector<Endpoint*> flow_sources(config.flows.size(), nullptr);
-  for (std::size_t f = 0; f < config.flows.size(); ++f) {
-    const DagFlow& flow = config.flows[f];
-    const std::uint32_t first = plan.flow_segments[f].front();
-    Endpoint* const source = terminal_of.at({flow.src, rep_of[first]});
-    flow_sources[f] = source;
-    source->set_flow_id(static_cast<std::uint16_t>(f));
-    if (flow.vc != 0) {
-      source->set_tx_vc(flow.vc);
-      const std::uint32_t last = plan.flow_segments[f].back();
-      terminal_of.at({flow.dst, rep_of[last]})
-          ->set_rx_flow_vc(static_cast<std::uint16_t>(f), flow.vc);
+      // Latency is measured from the ARRIVAL, not the pull: under overload
+      // the source-side backlog is part of the delay, which is what makes a
+      // load-latency curve inflect past saturation.
+      inject_stamp = due;
+    } else if (flow.loop.has_value()) {
+      if (!flow.loop->may_offer()) return std::nullopt;
+      flow.loop->on_offer();
     }
-    txn::StreamScoreboard* const board = &boards[f];
-    std::uint64_t* const offered_ptr = &offered[f];
-    const std::uint64_t budget = flow.flits;
-    const std::uint64_t salt = flow.salt;
-    FlowRuntime* const runtime = &flow_runtime[f];
-    runtime->source = source;
-    ArrivalKind arrival = flow.arrival;
-    if (arrival == ArrivalKind::kGreedy && flow.pace > 0)
-      arrival = ArrivalKind::kPaced;  // legacy shorthand
-    if (arrival == ArrivalKind::kPaced || arrival == ArrivalKind::kPoisson ||
-        arrival == ArrivalKind::kOnOff) {
-      ArrivalSpec arrival_spec;
-      arrival_spec.kind = arrival;
-      arrival_spec.interval = flow.interval > 0 ? flow.interval : flow.pace;
-      arrival_spec.on_mean_flits = flow.on_mean_flits;
-      arrival_spec.off_mean = flow.off_mean;
-      // Private per-flow stream, NOT drawn from the fabric seeder: an
-      // extra seeder draw here would shift every channel seed and change
-      // the wire trajectory of flows that use no randomness at all.
-      arrival_spec.seed =
-          config.seed ^
-          (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(f) + 1)) ^
-          flow.arrival_seed;
-      runtime->arrivals.emplace(arrival_spec);
-    } else if (arrival == ArrivalKind::kClosedLoop) {
-      runtime->loop.emplace(flow.window, flow.think);
+    if (sample_) {
+      const std::size_t slot =
+          static_cast<std::size_t>(index) % flow.ring_tag.size();
+      flow.ring_tag[slot] = index;
+      flow.ring_at[slot] = inject_stamp;
     }
-    if (sample) {
-      const std::uint64_t depth = std::min<std::uint64_t>(
-          kLatencyRingSlots, std::max<std::uint64_t>(budget, 1));
-      runtime->ring_at.assign(static_cast<std::size_t>(depth), 0);
-      runtime->ring_tag.assign(static_cast<std::size_t>(depth),
-                               ~std::uint64_t{0});
+    if (trace_ != nullptr) {
+      // Stamped with the arrival DUE time — the same origin the latency
+      // ring stores — so a reconstructed journey's hop sums equal the
+      // histogram-recorded end-to-end sample exactly.
+      obs::TraceEvent event;
+      event.at = inject_stamp;
+      event.truth_index = index;
+      event.component = flow.source->trace_component();
+      event.flow = static_cast<std::uint16_t>(f);
+      event.vc = spec.vc;
+      event.kind = obs::TraceEventKind::kInject;
+      trace_->record(event.component, event);
     }
-    const bool rate_shaped = runtime->arrivals.has_value();
-    sim::EventQueue* const queue_ptr = &queue;
-    obs::TraceSink* const trace_ptr = trace_sink.get();
-    const std::uint16_t trace_flow = static_cast<std::uint16_t>(f);
-    const std::uint8_t trace_vc = flow.vc;
-    source->set_source([board, offered_ptr, budget, salt, runtime,
-                        rate_shaped, sample, queue_ptr, source, trace_ptr,
-                        trace_flow, trace_vc](std::uint64_t index)
-                           -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= budget) return std::nullopt;
-      TimePs inject_stamp = queue_ptr->now();
-      if (rate_shaped) {
-        // Rate-shaped source: index i is offered no earlier than its
-        // arrival due-time. A premature pull arms one wake-up kick at the
-        // due instant, so the flow needs no external traffic to resume
-        // (and arms at most one timer however often the endpoint polls
-        // meanwhile).
-        const TimePs due = runtime->arrivals->due(index);
-        const TimePs now = queue_ptr->now();
-        if (now < due) {
-          if (!runtime->pace_armed) {
-            runtime->pace_armed = true;
-            queue_ptr->schedule(due - now, [runtime, source] {
-              runtime->pace_armed = false;
-              source->kick();
-            });
-          }
-          return std::nullopt;
-        }
-        // Latency is measured from the ARRIVAL, not the pull: under
-        // overload the source-side backlog is part of the delay, which is
-        // what makes a load-latency curve inflect past saturation.
-        inject_stamp = due;
-      } else if (runtime->loop.has_value()) {
-        if (!runtime->loop->may_offer()) return std::nullopt;
-        runtime->loop->on_offer();
-      }
-      if (sample) {
-        const std::size_t slot =
-            static_cast<std::size_t>(index) % runtime->ring_tag.size();
-        runtime->ring_tag[slot] = index;
-        runtime->ring_at[slot] = inject_stamp;
-      }
-      if (trace_ptr != nullptr) {
-        // Stamped with the arrival DUE time — the same origin the latency
-        // ring stores — so a reconstructed journey's hop sums equal the
-        // histogram-recorded end-to-end sample exactly.
-        obs::TraceEvent event;
-        event.at = inject_stamp;
-        event.truth_index = index;
-        event.component = source->trace_component();
-        event.flow = trace_flow;
-        event.seq = 0;
-        event.vc = trace_vc;
-        event.kind = obs::TraceEventKind::kInject;
-        event.arg = 0;
-        trace_ptr->record(event.component, event);
-      }
-      std::vector<std::uint8_t> payload = make_stream_payload(index, salt);
-      board->register_sent(index, payload);
-      *offered_ptr = index + 1;
-      return payload;
-    });
+    std::vector<std::uint8_t> payload = make_stream_payload(index, spec.salt);
+    flow.board.register_sent(index, payload);
+    flow.offered = index + 1;
+    return payload;
   }
 
-  // Occupancy/goodput time-series sampler: a self-rescheduling observation
-  // event that only READS counters, so the trajectory is untouched (the
-  // traced-vs-untraced report-equality test pins this).
-  struct TraceSampler {
-    sim::EventQueue* queue = nullptr;
-    TimePs period = 0;
-    const std::uint64_t* delivered = nullptr;
-    const std::vector<std::unique_ptr<switchdev::RelaySwitch>>* relays =
-        nullptr;
-    std::vector<obs::TimeSeriesPoint>* out = nullptr;
-    void tick() {
-      std::uint64_t queued = 0;
-      for (const auto& relay : *relays) {
-        if (relay == nullptr) continue;
-        for (std::size_t p = 0; p < relay->ports(); ++p)
-          queued += relay->port_stats(p).queue_occupancy;
-      }
-      out->push_back(obs::TimeSeriesPoint{queue->now(), *delivered, queued});
-      queue->schedule(period, [this] { tick(); });
+  /// Occupancy/goodput time-series sampler: a self-rescheduling observation
+  /// event that only READS counters, so the trajectory is untouched (the
+  /// traced-vs-untraced report-equality test pins this).
+  void sample_tick() {
+    std::uint64_t queued = 0;
+    for (const std::unique_ptr<switchdev::RelaySwitch>& relay : relays_) {
+      if (relay == nullptr) continue;
+      for (std::size_t p = 0; p < relay->ports(); ++p)
+        queued += relay->port_stats(p).queue_occupancy;
     }
-  };
-  std::vector<obs::TimeSeriesPoint> timeseries;
-  TraceSampler sampler;
-  if (trace_sink != nullptr && config.trace.sample_period > 0) {
-    sampler.queue = &queue;
-    sampler.period = config.trace.sample_period;
-    sampler.delivered = &trace_delivered;
-    sampler.relays = &relays;
-    sampler.out = &timeseries;
-    queue.schedule(config.trace.sample_period,
-                   [s = &sampler] { s->tick(); });
+    timeseries_.push_back(
+        obs::TimeSeriesPoint{queue_.now(), delivered_, queued});
+    queue_.schedule(config_.trace.sample_period, [this] { sample_tick(); });
   }
 
-  for (Endpoint* const source : flow_sources) source->kick();
-  queue.run_until(config.horizon);
-
-  // Reports.
-  DagReport report;
-  report.slots = config.slot > 0
-                     ? static_cast<std::uint64_t>(config.horizon / config.slot)
-                     : 0;
-  report.misrouted = misrouted;
-  report.flows.resize(config.flows.size());
-  for (std::size_t f = 0; f < config.flows.size(); ++f) {
-    DagFlowReport& flow_report = report.flows[f];
-    flow_report.src = config.flows[f].src;
-    flow_report.dst = config.flows[f].dst;
-    flow_report.offered = offered[f];
-    flow_report.scoreboard = boards[f].finalize();
-    flow_report.path_edges = plan.flow_paths[f];
-    flow_report.rerouted =
-        controller != nullptr && controller->flow_rerouted(f);
-    flow_report.latency = flow_runtime[f].latency;
-    flow_report.latency_sample_misses = flow_runtime[f].sample_misses;
-    flow_report.latency_samples = std::move(flow_runtime[f].debug_samples);
-  }
-  if (controller != nullptr) report.reroutes = controller->reports();
-  for (const Domain& domain : domains) {
-    const DagPlan::Segment& segment = plan.segments[domain.rep];
+  /// One domain's counters: segment `si` is its forward direction, and
+  /// `reverse` the mate edge or the implicit control wire.
+  [[nodiscard]] DagLinkStats hop_stats(std::size_t si,
+                                       const sim::LinkChannel& reverse) const {
+    const DagPlan::Segment& segment = plan_.segments[si];
+    const Endpoint& a = *ends_[si].tx;
+    const Endpoint& b = *ends_[si].rx;
     DagLinkStats hop;
-    hop.segment = domain.rep;
+    hop.segment = static_cast<std::uint32_t>(si);
     hop.node_a = segment.origin;
     hop.node_b = segment.peer;
     hop.forward_edge = segment.egress_edge;
     hop.paired = segment.mate.has_value();
     hop.crosses_hub = !segment.hubs.empty();
-    const Endpoint::Snapshot snap_a = domain.a->snapshot();
-    const Endpoint::Snapshot snap_b = domain.b->snapshot();
-    hop.a = snap_a.link;
-    hop.b = snap_b.link;
-    hop.a_extra = snap_a.extra;
-    hop.b_extra = snap_b.extra;
-    for (std::size_t v = 0; v < domain.a->credit_windows().num_vcs(); ++v) {
-      hop.a_vc_consumed[v] = domain.a->credit_windows().vc(v).consumed();
-      hop.b_vc_consumed[v] = domain.b->credit_windows().vc(v).consumed();
-      hop.a_vc_returned[v] = domain.a->credit_ledgers().vc(v).returned();
-      hop.b_vc_returned[v] = domain.b->credit_ledgers().vc(v).returned();
+    hop.a = a.snapshot().link;
+    hop.b = b.snapshot().link;
+    hop.a_extra = a.snapshot().extra;
+    hop.b_extra = b.snapshot().extra;
+    for (std::size_t v = 0; v < a.credit_windows().num_vcs(); ++v) {
+      hop.a_vc_consumed[v] = a.credit_windows().vc(v).consumed();
+      hop.b_vc_consumed[v] = b.credit_windows().vc(v).consumed();
+      hop.a_vc_returned[v] = a.credit_ledgers().vc(v).returned();
+      hop.b_vc_returned[v] = b.credit_ledgers().vc(v).returned();
     }
-    hop.forward_channel = domain.forward->snapshot();
-    hop.reverse_channel = domain.reverse->snapshot();
-    report.hops.push_back(hop);
+    hop.forward_channel = channels_[segment.egress_edge]->snapshot();
+    hop.reverse_channel = reverse.snapshot();
+    return hop;
   }
-  report.edges.reserve(channels.size());
-  for (const auto& channel : channels)
-    report.edges.push_back(channel->snapshot());
-  for (std::size_t v = 0; v < node_count; ++v) {
-    if (kind(v) == DagNodeKind::kRelay) {
-      DagRelayReport relay_report;
-      relay_report.node = static_cast<std::uint16_t>(v);
-      relay_report.ports = relay_ports[v];
-      for (std::size_t p = 0; p < relay_report.ports.size(); ++p)
-        relay_report.ports[p].stats = relays[v]->snapshot(p);
-      report.relays.push_back(std::move(relay_report));
-    } else if (kind(v) == DagNodeKind::kHub) {
-      report.hubs.push_back(
-          DagHubReport{static_cast<std::uint16_t>(v), hubs[v]->stats()});
-    }
-  }
-  if (trace_sink != nullptr) {
-    report.trace = trace_sink->capture();
-    report.timeseries = std::move(timeseries);
-  }
-  return report;
+
+  const DagConfig& config_;
+  const DagPlan& plan_;
+  const bool sample_;  ///< latency sampling (histogram or debug samples)
+  sim::EventQueue queue_;
+  Xoshiro256 seeder_;
+  std::unique_ptr<obs::TraceSink> trace_;  ///< null unless tracing is on
+  std::vector<sim::LinkFaultSchedule> fault_schedules_;  ///< per edge
+  std::vector<std::unique_ptr<switchdev::PortSwitch>> hubs_;      ///< by node
+  std::vector<std::unique_ptr<sim::LinkChannel>> channels_;       ///< by edge
+  std::vector<std::unique_ptr<switchdev::RelaySwitch>> relays_;   ///< by node
+  std::vector<std::unique_ptr<sim::LinkChannel>> control_wires_;  ///< domains
+  std::vector<Terminal> terminals_;  ///< in (node, domain) order
+  std::vector<SegmentEnds> ends_;    ///< by plan segment
+  std::unique_ptr<FaultController> controller_;
+  std::vector<FlowState> flows_;
+  std::uint64_t misrouted_ = 0;
+  std::uint64_t delivered_ = 0;  ///< time-series goodput counter
+  std::vector<obs::TimeSeriesPoint> timeseries_;
+};
+
+}  // namespace
+
+DagReport run_dag_fabric(const DagConfig& config) {
+  const DagPlan plan = plan_dag(config);
+  DagFabric fabric(config, plan);
+  fabric.run();
+  return fabric.report();
 }
 
 // ---------------------------------------------------------------------------
@@ -1633,7 +1622,10 @@ void apply_flow_classes(DagConfig& config,
     DagFlow& flow = config.flows[f];
     flow.vc = klass.vc;
     flow.weight = klass.weight;
-    flow.pace = klass.pace;
+    if (klass.pace > 0) {
+      flow.arrival = ArrivalKind::kPaced;
+      flow.interval = klass.pace;
+    }
     if (klass.flits > 0) flow.flits = klass.flits;
   }
 }
@@ -2001,22 +1993,6 @@ DagConfig make_star_dag(const StarConfig& config) {
                                 static_cast<std::uint16_t>(i),
                                 config.flits_per_direction, 0xB000 + i});
   return dag;
-}
-
-StarReport run_star_fabric_via_dag(const StarConfig& config) {
-  const DagReport dag = run_dag_fabric(make_star_dag(config));
-  StarReport report;
-  report.slots = config.slot > 0
-                     ? static_cast<std::uint64_t>(config.horizon / config.slot)
-                     : 0;
-  const std::size_t n = config.pairs;
-  report.pairs.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    report.pairs[i].downstream = dag.flows[i].scoreboard;
-    report.pairs[i].upstream = dag.flows[n + i].scoreboard;
-  }
-  if (!dag.hubs.empty()) report.hub = dag.hubs.front().stats;
-  return report;
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@
 
 #include "rxl/link/credit.hpp"
 #include "rxl/sim/trial_runner.hpp"
-#include "rxl/transport/star_fabric.hpp"
 
 namespace rxl::transport {
 namespace {
@@ -730,28 +729,28 @@ TEST(DagFabric, StarViaDagMatchesRecordedLegacyStarExactly) {
   config.burst_injection_rate = 2e-3;
   config.flits_per_direction = 1'500;
   config.horizon = 60'000'000;
-  const StarReport dag = run_star_fabric_via_dag(config);
-  ASSERT_EQ(dag.pairs.size(), 3u);
-  for (std::size_t i = 0; i < dag.pairs.size(); ++i) {
-    for (const auto direction :
-         {&PairReport::downstream, &PairReport::upstream}) {
-      const txn::StreamScoreboard::Stats& s = dag.pairs[i].*direction;
-      EXPECT_EQ(s.delivered, 1'500u) << "pair " << i;
-      EXPECT_EQ(s.in_order, 1'500u) << "pair " << i;
-      EXPECT_EQ(s.order_violations, 0u) << "pair " << i;
-      EXPECT_EQ(s.duplicates, 0u) << "pair " << i;
-      EXPECT_EQ(s.late_deliveries, 0u) << "pair " << i;
-      EXPECT_EQ(s.data_corruptions, 0u) << "pair " << i;
-      EXPECT_EQ(s.missing, 0u) << "pair " << i;
-    }
+  const DagReport dag = run_dag_fabric(make_star_dag(config));
+  // Flow i is pair i downstream, flow 3+i pair i upstream.
+  ASSERT_EQ(dag.flows.size(), 6u);
+  for (std::size_t f = 0; f < dag.flows.size(); ++f) {
+    const txn::StreamScoreboard::Stats& s = dag.flows[f].scoreboard;
+    EXPECT_EQ(s.delivered, 1'500u) << "flow " << f;
+    EXPECT_EQ(s.in_order, 1'500u) << "flow " << f;
+    EXPECT_EQ(s.order_violations, 0u) << "flow " << f;
+    EXPECT_EQ(s.duplicates, 0u) << "flow " << f;
+    EXPECT_EQ(s.late_deliveries, 0u) << "flow " << f;
+    EXPECT_EQ(s.data_corruptions, 0u) << "flow " << f;
+    EXPECT_EQ(s.missing, 0u) << "flow " << f;
   }
   // The single hub aggregates what the legacy build split across its two
   // per-direction switch instances (recorded sums: 5285+4926 in, 10 + 3
   // FEC drops).
-  EXPECT_EQ(dag.hub.flits_in, 10'211u);
-  EXPECT_EQ(dag.hub.flits_forwarded, 10'198u);
-  EXPECT_EQ(dag.hub.dropped_fec, 13u);
-  EXPECT_EQ(dag.hub.dropped_no_route, 0u);
+  ASSERT_EQ(dag.hubs.size(), 1u);
+  const switchdev::PortSwitchStats& hub = dag.hubs.front().stats;
+  EXPECT_EQ(hub.flits_in, 10'211u);
+  EXPECT_EQ(hub.flits_forwarded, 10'198u);
+  EXPECT_EQ(hub.dropped_fec, 13u);
+  EXPECT_EQ(hub.dropped_no_route, 0u);
 }
 
 TEST(DagFabric, StarViaDagMatchesRecordedLegacyUnderCxlFailures) {
@@ -765,24 +764,29 @@ TEST(DagFabric, StarViaDagMatchesRecordedLegacyUnderCxlFailures) {
   config.burst_injection_rate = 4e-3;
   config.flits_per_direction = 1'500;
   config.horizon = 60'000'000;
-  const StarReport dag = run_star_fabric_via_dag(config);
+  const DagReport dag = run_dag_fabric(make_star_dag(config));
   EXPECT_EQ(dag.total_order_failures(), 5u);
   EXPECT_EQ(dag.total_missing(), 46u);
   EXPECT_EQ(dag.total_in_order(), 5'950u);
-  ASSERT_EQ(dag.pairs.size(), 2u);
-  EXPECT_EQ(dag.pairs[0].upstream.delivered, 1'480u);
-  EXPECT_EQ(dag.pairs[0].upstream.in_order, 1'479u);
-  EXPECT_EQ(dag.pairs[0].upstream.order_violations, 1u);
-  EXPECT_EQ(dag.pairs[0].upstream.missing, 20u);
-  EXPECT_EQ(dag.pairs[1].downstream.delivered, 1'475u);
-  EXPECT_EQ(dag.pairs[1].downstream.in_order, 1'471u);
-  EXPECT_EQ(dag.pairs[1].downstream.duplicates, 1u);
-  EXPECT_EQ(dag.pairs[1].downstream.late_deliveries, 1u);
-  EXPECT_EQ(dag.pairs[1].downstream.missing, 26u);
-  EXPECT_EQ(dag.pairs[1].upstream.delivered, 1'501u);
-  EXPECT_EQ(dag.pairs[1].upstream.duplicates, 1u);
-  EXPECT_EQ(dag.hub.flits_in, 8'308u);
-  EXPECT_EQ(dag.hub.dropped_fec, 27u);
+  // Flows 0-1 are pairs 0-1 downstream, flows 2-3 the same pairs upstream.
+  ASSERT_EQ(dag.flows.size(), 4u);
+  const txn::StreamScoreboard::Stats& up0 = dag.flows[2].scoreboard;
+  const txn::StreamScoreboard::Stats& down1 = dag.flows[1].scoreboard;
+  const txn::StreamScoreboard::Stats& up1 = dag.flows[3].scoreboard;
+  EXPECT_EQ(up0.delivered, 1'480u);
+  EXPECT_EQ(up0.in_order, 1'479u);
+  EXPECT_EQ(up0.order_violations, 1u);
+  EXPECT_EQ(up0.missing, 20u);
+  EXPECT_EQ(down1.delivered, 1'475u);
+  EXPECT_EQ(down1.in_order, 1'471u);
+  EXPECT_EQ(down1.duplicates, 1u);
+  EXPECT_EQ(down1.late_deliveries, 1u);
+  EXPECT_EQ(down1.missing, 26u);
+  EXPECT_EQ(up1.delivered, 1'501u);
+  EXPECT_EQ(up1.duplicates, 1u);
+  ASSERT_EQ(dag.hubs.size(), 1u);
+  EXPECT_EQ(dag.hubs.front().stats.flits_in, 8'308u);
+  EXPECT_EQ(dag.hubs.front().stats.dropped_fec, 27u);
 }
 
 TEST(DagFabric, DeterministicAcrossRunsAndWorkerCounts) {
@@ -816,7 +820,8 @@ TEST(DagFabric, PacedSourceRearmsItsWakeupAcrossIdleGaps) {
   spec.flits_per_flow = 5;
   spec.horizon = 60'000'000;
   DagConfig config = make_chain_dag(spec, 1);
-  config.flows[0].pace = 2'000'000;  // one flit per 2 us, path latency ~20 ns
+  config.flows[0].arrival = ArrivalKind::kPaced;
+  config.flows[0].interval = 2'000'000;  // one flit per 2 us, path ~20 ns
   config.sample_latency = true;
   const DagReport report = run_dag_fabric(config);
   EXPECT_EQ(report.flows[0].offered, 5u);

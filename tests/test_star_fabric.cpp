@@ -1,13 +1,14 @@
 // Scale-out star fabric: routing isolation and protocol behaviour when many
 // endpoint pairs share one switching device. The star runs as a one-hub DAG
-// (run_star_fabric_via_dag); the deleted hard-coded wiring is pinned by the
-// recorded-counter equivalence tests in test_dag_fabric.cpp.
+// (run_dag_fabric(make_star_dag(...))): flow i is pair i downstream, flow
+// pairs+i pair i upstream, and the report's single hub is the shared
+// switch. The deleted hard-coded wiring is pinned by the recorded-counter
+// equivalence tests in test_dag_fabric.cpp.
 #include <gtest/gtest.h>
 
 #include "rxl/sim/trial_runner.hpp"
 #include "rxl/switchdev/port_switch.hpp"
 #include "rxl/transport/dag_fabric.hpp"
-#include "rxl/transport/star_fabric.hpp"
 
 namespace rxl::transport {
 namespace {
@@ -25,20 +26,29 @@ StarConfig base_config(Protocol protocol, std::size_t pairs) {
   return config;
 }
 
+DagReport run_star(const StarConfig& config) {
+  return run_dag_fabric(make_star_dag(config));
+}
+
+const switchdev::PortSwitchStats& hub_of(const DagReport& report) {
+  return report.hubs.front().stats;
+}
+
 TEST(StarFabric, CleanFabricRoutesEveryPairCompletely) {
   const auto reports = sim::run_trials(2, [](std::size_t trial) {
-    return run_star_fabric_via_dag(base_config(kProtocols[trial], 4));
+    return run_star(base_config(kProtocols[trial], 4));
   });
-  for (const StarReport& report : reports) {
-    ASSERT_EQ(report.pairs.size(), 4u);
-    for (const PairReport& pair : report.pairs) {
-      EXPECT_EQ(pair.downstream.in_order, 4'000u);
-      EXPECT_EQ(pair.upstream.in_order, 4'000u);
-      EXPECT_EQ(pair.downstream.order_violations, 0u);
-      EXPECT_EQ(pair.downstream.data_corruptions, 0u);
+  for (const DagReport& report : reports) {
+    ASSERT_EQ(report.flows.size(), 8u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const txn::StreamScoreboard::Stats& down = report.flows[i].scoreboard;
+      EXPECT_EQ(down.in_order, 4'000u);
+      EXPECT_EQ(report.flows[4 + i].scoreboard.in_order, 4'000u);
+      EXPECT_EQ(down.order_violations, 0u);
+      EXPECT_EQ(down.data_corruptions, 0u);
     }
-    EXPECT_EQ(report.hub.dropped_no_route, 0u);
-    EXPECT_EQ(report.hub.flits_in, report.hub.flits_forwarded);
+    EXPECT_EQ(hub_of(report).dropped_no_route, 0u);
+    EXPECT_EQ(hub_of(report).flits_in, hub_of(report).flits_forwarded);
   }
 }
 
@@ -47,18 +57,17 @@ TEST(StarFabric, PairsAreIsolated) {
   // as data corruption (hash mismatch) at some pair's scoreboard.
   StarConfig config = base_config(Protocol::kRxl, 8);
   config.burst_injection_rate = 1e-3;
-  const StarReport report = run_star_fabric_via_dag(config);
-  for (const PairReport& pair : report.pairs) {
-    EXPECT_EQ(pair.downstream.data_corruptions, 0u);
-    EXPECT_EQ(pair.upstream.data_corruptions, 0u);
-  }
+  const DagReport report = run_star(config);
+  ASSERT_EQ(report.flows.size(), 16u);
+  for (const DagFlowReport& flow : report.flows)
+    EXPECT_EQ(flow.scoreboard.data_corruptions, 0u);
 }
 
 TEST(StarFabric, RxlLosslessAcrossSharedSwitch) {
   StarConfig config = base_config(Protocol::kRxl, 6);
   config.burst_injection_rate = 2e-3;
-  const StarReport report = run_star_fabric_via_dag(config);
-  EXPECT_GT(report.hub.dropped_fec, 20u);  // drops really happened
+  const DagReport report = run_star(config);
+  EXPECT_GT(hub_of(report).dropped_fec, 20u);  // drops really happened
   EXPECT_EQ(report.total_order_failures(), 0u);
   EXPECT_EQ(report.total_missing(), 0u);
   EXPECT_EQ(report.total_in_order(), 6u * 2u * 4'000u);
@@ -72,10 +81,10 @@ TEST(StarFabric, CxlFailuresScaleWithPairCount) {
     config.burst_injection_rate = 2e-3;
     config.flits_per_direction = 20'000;
     config.horizon = 300'000'000;
-    return run_star_fabric_via_dag(config);
+    return run_star(config);
   });
-  const StarReport& small_report = reports[0];
-  const StarReport& large_report = reports[1];
+  const DagReport& small_report = reports[0];
+  const DagReport& large_report = reports[1];
   EXPECT_GT(small_report.total_order_failures() +
                 small_report.total_missing(),
             0u);
@@ -125,19 +134,19 @@ TEST(StarFabric, DeterministicAcrossRunsAndWorkerCounts) {
     StarConfig config = base_config(Protocol::kCxl, 3);
     config.burst_injection_rate = 2e-3;
     config.flits_per_direction = 2'000;
-    return run_star_fabric_via_dag(config);
+    return run_star(config);
   };
   const auto serial = sim::run_trials(2, trial, /*workers=*/1);
   const auto sharded = sim::run_trials(2, trial, /*workers=*/2);
   for (const auto* reports : {&serial, &sharded}) {
-    const StarReport& first = (*reports)[0];
-    const StarReport& second = (*reports)[1];
+    const DagReport& first = (*reports)[0];
+    const DagReport& second = (*reports)[1];
     EXPECT_EQ(first.total_in_order(), second.total_in_order());
     EXPECT_EQ(first.total_order_failures(), second.total_order_failures());
-    EXPECT_EQ(first.hub.dropped_fec, second.hub.dropped_fec);
+    EXPECT_EQ(hub_of(first).dropped_fec, hub_of(second).dropped_fec);
   }
   EXPECT_EQ(serial[0].total_in_order(), sharded[0].total_in_order());
-  EXPECT_EQ(serial[0].hub.dropped_fec, sharded[0].hub.dropped_fec);
+  EXPECT_EQ(hub_of(serial[0]).dropped_fec, hub_of(sharded[0]).dropped_fec);
 }
 
 }  // namespace
