@@ -293,33 +293,216 @@ TEST(DagFabric, PairsMatesAcrossSeparateHubStacks) {
   expect_rejection(config, "cycle");
 }
 
+/// The full what() of plan_dag's rejection, or "<accepted>".
+std::string rejection_message(const DagConfig& config) {
+  try {
+    (void)plan_dag(config);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "<accepted>";
+}
+
+/// Two host/device pairs around one transparent hub (node "hub" is id 4).
+DagConfig two_pair_star(Protocol protocol) {
+  StarConfig star;
+  star.protocol.protocol = protocol;
+  star.pairs = 2;
+  star.flits_per_direction = 10;
+  star.horizon = 1'000'000;
+  return make_star_dag(star);
+}
+
 TEST(DagFabric, RejectsMalformedFieldsByName) {
+  // One minimal mutation per rejection site in plan_dag, each pinned by its
+  // full message: a config must fail on the check it breaks, not on some
+  // earlier one that happens to share a word with it. Every mutation starts
+  // from make_chain_dag(base_spec(), 1): src 0 -> relay1 1 -> dst 2 over
+  // edges 0 and 1, one flow src -> dst.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   struct Case {
-    const char* field;
+    const char* message;
     std::function<void(DagConfig&)> mutate;
   };
   const Case cases[] = {
-      {"slot", [](DagConfig& c) { c.slot = 0; }},
-      {"horizon", [](DagConfig& c) { c.horizon = 0; }},
-      {"edge 1 ber", [](DagConfig& c) { c.edges[1].ber = 1.5; }},
-      {"edge 1 ber", [](DagConfig& c) { c.edges[1].ber = -1.0; }},
-      {"edge 0 ber", [nan](DagConfig& c) { c.edges[0].ber = nan; }},
-      {"edge 1 burst_injection_rate",
-       [](DagConfig& c) { c.edges[1].burst_injection_rate = 2.0; }},
-      {"edge 0 burst_injection_rate",
-       [nan](DagConfig& c) { c.edges[0].burst_injection_rate = nan; }},
-      {"hub_internal_error_rate",
+      // Fabric-wide fields.
+      {"DAG topology has no nodes", [](DagConfig& c) { c.nodes.clear(); }},
+      {"DAG topology exceeds the 16-bit id space",
+       [](DagConfig& c) { c.flows.resize(0xFFFF, c.flows.front()); }},
+      {"slot must be > 0 (it divides the horizon)",
+       [](DagConfig& c) { c.slot = 0; }},
+      {"horizon must be > 0", [](DagConfig& c) { c.horizon = 0; }},
+      {"hub_internal_error_rate must be a probability in [0, 1], got 1.500000",
        [](DagConfig& c) { c.hub_internal_error_rate = 1.5; }},
-      {"hub_internal_error_rate",
+      {"hub_internal_error_rate must be a probability in [0, 1], got "
+       "-0.100000",
        [](DagConfig& c) { c.hub_internal_error_rate = -0.1; }},
-      {"hub_internal_error_rate",
+      {"hub_internal_error_rate must be a probability in [0, 1], got nan",
        [nan](DagConfig& c) { c.hub_internal_error_rate = nan; }},
+      // Edges.
+      {"edge 1 references a node out of range",
+       [](DagConfig& c) { c.edges[1].dst = 7; }},
+      {"self-edge at relay1", [](DagConfig& c) { c.edges[1].dst = 1; }},
+      {"edge 1 ber must be a probability in [0, 1], got 1.500000",
+       [](DagConfig& c) { c.edges[1].ber = 1.5; }},
+      {"edge 1 ber must be a probability in [0, 1], got -1.000000",
+       [](DagConfig& c) { c.edges[1].ber = -1.0; }},
+      {"edge 0 ber must be a probability in [0, 1], got nan",
+       [nan](DagConfig& c) { c.edges[0].ber = nan; }},
+      {"edge 1 burst_injection_rate must be a probability in [0, 1], got "
+       "2.000000",
+       [](DagConfig& c) { c.edges[1].burst_injection_rate = 2.0; }},
+      {"edge 0 burst_injection_rate must be a probability in [0, 1], got nan",
+       [nan](DagConfig& c) { c.edges[0].burst_injection_rate = nan; }},
+      {"edge 1 into dst declares a zero-credit buffer (the hop could never "
+       "transmit); use at least one credit, or leave the edge at the "
+       "DagConfig default",
+       [](DagConfig& c) { c.edges[1].credits = 0; }},
+      {"edge 0 credit window exceeds link::kMaxCreditWindow",
+       [](DagConfig& c) { c.edges[0].credits = link::kMaxCreditWindow + 1; }},
+      {"edge 0 enters hub hub, which does not terminate the hop; set credits "
+       "on the hub's egress edge (into the receiving termination)",
+       [](DagConfig& c) {
+         c = two_pair_star(Protocol::kRxl);
+         c.edges[0].credits = 4;
+       }},
+      {"hop_credits exceeds link::kMaxCreditWindow",
+       [](DagConfig& c) { c.hop_credits = link::kMaxCreditWindow + 1; }},
+      // Fault plan.
+      {"fault plan addresses more edges than the topology declares",
+       [](DagConfig& c) { (void)c.faults.edge(2); }},
+      {"fault window on edge 1 ends at or before it starts",
+       [](DagConfig& c) { c.faults.edge(1).add_window(20'000, 10'000); }},
+      {"relay fail-stop event at node 0 does not name a relay",
+       [](DagConfig& c) { c.faults.relay_failures.push_back({0, 1'000}); }},
+      {"relay fail-stop event at node 9 does not name a relay",
+       [](DagConfig& c) { c.faults.relay_failures.push_back({9, 1'000}); }},
+      {"duplicate edge src -> relay1",
+       [](DagConfig& c) { c.edges.push_back(c.edges.front()); }},
+      // Per-node-kind limits.
+      {"relay1 exceeds the fan-out limit (2 incident edges, max_ports=1)",
+       [](DagConfig& c) { c.max_ports = 1; }},
+      {"terminal src has more than one uplink edge",
+       [](DagConfig& c) { c.edges.push_back(plain_edge(0, 2)); }},
+      {"terminal dst has more than one downlink edge",
+       [](DagConfig& c) {
+         c.nodes.push_back(DagNode{"side", DagNodeKind::kTerminal, {}});
+         c.edges.push_back(plain_edge(3, 2));
+       }},
+      {"hub node#3 needs at least one ingress and one egress edge",
+       [](DagConfig& c) {
+         c.nodes.push_back(DagNode{"", DagNodeKind::kHub, {}});
+       }},
+      // Core acyclicity.
+      {"the switching core contains a cycle through relay1",
+       [](DagConfig& c) {
+         c = make_chain_dag(base_spec(), 2);
+         c.edges.push_back(plain_edge(2, 1));
+       }},
+      // Flow routing.
+      {"flow 0 references a node out of range",
+       [](DagConfig& c) { c.flows[0].dst = 9; }},
+      {"flow 0 endpoints must be terminals",
+       [](DagConfig& c) { c.flows[0].dst = 1; }},
+      {"flow 0 sends to its own source",
+       [](DagConfig& c) { c.flows[0].dst = 0; }},
+      {"terminal src originates more than one flow",
+       [](DagConfig& c) { c.flows.push_back(c.flows.front()); }},
+      {"flow 0 rides VC 8, beyond link::kMaxVcs",
+       [](DagConfig& c) { c.flows[0].vc = link::kMaxVcs; }},
+      {"flow src -> island is unreachable",
+       [](DagConfig& c) {
+         c.nodes.push_back(DagNode{"island", DagNodeKind::kTerminal, {}});
+         c.flows[0].dst = 3;
+       }},
+      // QoS and arrival specs.
+      {"flow 1 declares weight 2 for VC 0, but an earlier flow on the same VC "
+       "declared 1",
+       [](DagConfig& c) {
+         c = make_trunk_dag(base_spec(), 2);
+         c.flows[1].weight = 2;
+       }},
+      {"flow 0 (greedy arrivals) sets interval; pick a rate-shaped arrival "
+       "kind",
+       [](DagConfig& c) { c.flows[0].interval = 2'000; }},
+      {"flow 0 (paced arrivals) needs interval > 0",
+       [](DagConfig& c) { c.flows[0].arrival = ArrivalKind::kPaced; }},
+      {"flow 0 (poisson arrivals) needs interval > 0",
+       [](DagConfig& c) { c.flows[0].arrival = ArrivalKind::kPoisson; }},
+      {"flow 0 (onoff arrivals) needs interval > 0 (burst spacing)",
+       [](DagConfig& c) { c.flows[0].arrival = ArrivalKind::kOnOff; }},
+      {"flow 0 (onoff arrivals) needs off_mean > 0",
+       [](DagConfig& c) {
+         c.flows[0].arrival = ArrivalKind::kOnOff;
+         c.flows[0].interval = 2'000;
+       }},
+      {"flow 0 (onoff arrivals) needs on_mean_flits >= 1",
+       [](DagConfig& c) {
+         c.flows[0].arrival = ArrivalKind::kOnOff;
+         c.flows[0].interval = 2'000;
+         c.flows[0].off_mean = 100'000;
+         c.flows[0].on_mean_flits = 0.5;
+       }},
+      {"flow 0 (closed arrivals) needs window >= 1",
+       [](DagConfig& c) { c.flows[0].arrival = ArrivalKind::kClosedLoop; }},
+      {"flow 0 (closed arrivals) takes no interval",
+       [](DagConfig& c) {
+         c.flows[0].arrival = ArrivalKind::kClosedLoop;
+         c.flows[0].window = 4;
+         c.flows[0].interval = 2'000;
+       }},
+      {"flow 0 (greedy arrivals) sets window; only closed-loop flows take one",
+       [](DagConfig& c) { c.flows[0].window = 4; }},
+      {"flow 0 (greedy arrivals) sets think; only closed-loop flows take one",
+       [](DagConfig& c) { c.flows[0].think = 1'000; }},
+      {"ecn_threshold set with credit flow control off everywhere; ECN early "
+       "backpressure needs hop_credits or per-edge credits",
+       [](DagConfig& c) { c.ecn_threshold = 4; }},
+      // Segment extraction.
+      {"ISN domain leaving r fans out through hub hub (one TX termination "
+       "cannot feed two receivers)",
+       [](DagConfig& c) {
+         // s0 0 and s1 1 -> r 2 -> hub 3 -> d0 4 and d1 5.
+         c = base_config_from(base_spec());
+         for (const char* name : {"s0", "s1"})
+           c.nodes.push_back(DagNode{name, DagNodeKind::kTerminal, {}});
+         c.nodes.push_back(DagNode{"r", DagNodeKind::kRelay, {}});
+         c.nodes.push_back(DagNode{"hub", DagNodeKind::kHub, {}});
+         for (const char* name : {"d0", "d1"})
+           c.nodes.push_back(DagNode{name, DagNodeKind::kTerminal, {}});
+         for (const auto& [src, dst] :
+              {std::pair{0, 2}, {1, 2}, {2, 3}, {3, 4}, {3, 5}})
+           c.edges.push_back(plain_edge(static_cast<std::uint16_t>(src),
+                                        static_cast<std::uint16_t>(dst)));
+         c.flows.push_back(DagFlow{0, 4, 10, 1});
+         c.flows.push_back(DagFlow{1, 5, 10, 2});
+       }},
+      {"two ISN domains are multiplexed onto the edge into d (an "
+       "implicit-sequence receiver cannot demux them)",
+       [](DagConfig& c) {
+         c = base_config_from(base_spec());
+         for (const char* name : {"s0", "s1"})
+           c.nodes.push_back(DagNode{name, DagNodeKind::kTerminal, {}});
+         c.nodes.push_back(DagNode{"hub", DagNodeKind::kHub, {}});
+         c.nodes.push_back(DagNode{"d", DagNodeKind::kTerminal, {}});
+         c.edges = {plain_edge(0, 2), plain_edge(1, 2), plain_edge(2, 3)};
+         c.flows.push_back(DagFlow{0, 3, 10, 1});
+         c.flows.push_back(DagFlow{1, 3, 10, 2});
+       }},
+      // The CXL-through-hub credit rule.
+      {"credit flow control on the CXL domain through hub hub would leak "
+       "credits on silently dropped flits (§4.1 losses are invisible to the "
+       "cumulative return count); use RXL, terminate the hop at a relay, or "
+       "disable credits on this edge",
+       [](DagConfig& c) {
+         c = two_pair_star(Protocol::kCxl);
+         c.hop_credits = 4;
+       }},
   };
   for (const Case& c : cases) {
     DagConfig config = make_chain_dag(base_spec(), 1);
     c.mutate(config);
-    expect_rejection(config, c.field);
+    EXPECT_EQ(rejection_message(config), c.message);
   }
   // run_dag_fabric plans first, so a Release build cannot silently run a
   // zero-horizon fabric either.
