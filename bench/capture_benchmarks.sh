@@ -6,7 +6,8 @@
 #     ablation, fig8 fit, hw overhead); these reproduce paper numbers and
 #     must stay diff-clean across perf work
 #
-# Usage: bench/capture_benchmarks.sh [output-dir]   (default: bench/captures)
+# Usage: bench/capture_benchmarks.sh [output-dir]   (default: build/captures,
+# git-ignored so captures are not committed)
 # Run from the repo root with an existing -O3 build in ./build
 # (cmake --preset release && cmake --build build -j). Compare two captures
 # with plain `diff -u old/ new/` — the *_table/ablation/fig8/hw_overhead
@@ -16,7 +17,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-out_dir="${1:-bench/captures}"
+out_dir="${1:-build/captures}"
 build_dir=build
 mkdir -p "$out_dir"
 

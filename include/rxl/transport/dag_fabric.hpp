@@ -27,8 +27,20 @@
 // (breadth-first, ties broken by lowest edge id) compiled into per-relay
 // flow tables and per-stage hub egress tags (each hub port rewrites the tag
 // for the next hub as the flit leaves). plan_dag() validates the topology
-// (acyclicity of the switching core, reachability, port fan-out limits,
-// domain exclusivity per edge) before anything is instantiated.
+// and compiles that plan before anything is instantiated, in passes that
+// run in this order:
+//   1. fabric-wide fields (node count, id space, slot, horizon, hub rate);
+//   2. edges (range, self-edges, error rates, credits) and adjacency;
+//   3. the fault plan, then duplicate edges;
+//   4. per-node-kind limits (fan-out, single-homed terminals, live hubs);
+//   5. acyclicity of the switching core;
+//   6. flow endpoints and primary routes;
+//   7. QoS weights, arrival specs and the ECN prerequisite;
+//   8. segment extraction into ISN domains, exclusive per edge;
+//   9. backup routes for planned faults;
+//  10. the CXL-through-hub credit rule;
+//  11. mate pairing into bidirectional domains.
+// A config that breaks several rules is rejected by the earliest pass.
 #pragma once
 
 #include <array>
@@ -234,18 +246,23 @@ struct DagPlan {
   std::vector<Reroute> reroutes;  ///< one per (flow, doomed primary segment)
 };
 
-/// Validates the topology and compiles the routing plan.
-/// Throws std::invalid_argument (with the offending field, node or edge
-/// named) on: a zero slot or horizon, an error rate (edge ber or
-/// burst_injection_rate, hub_internal_error_rate) outside [0, 1] or NaN,
-/// bad indices, self/duplicate edges, fan-out beyond max_ports, terminals
-/// with more than one uplink/downlink, idle hubs, a cyclic switching core,
-/// unreachable flows, several flows originating at one terminal, two ISN
-/// domains sharing any edge (multiplexed onto one receiver, or one
-/// termination fanning out through a hub), or a credit configuration that
-/// could deadlock (an explicit zero-credit edge, a window beyond
-/// link::kMaxCreditWindow, or credits on a CXL domain crossing a
-/// transparent hub — §4.1 silent drops would leak window slots forever).
+/// Validates the topology and compiles the routing plan, in the eleven
+/// passes listed in order at the top of this file: fabric-wide fields,
+/// edges and adjacency, the fault plan (then duplicate edges), per-node-kind
+/// limits, core acyclicity, flow routing, QoS and arrival specs, segment
+/// extraction, backup routes, the CXL-through-hub credit rule, and mate
+/// pairing. Throws std::invalid_argument (with the offending field, node or
+/// edge named) from the first pass that fails, on: a zero slot or horizon,
+/// an error rate (edge ber or burst_injection_rate, hub_internal_error_rate)
+/// outside [0, 1] or NaN, bad indices, self/duplicate edges, fan-out
+/// beyond max_ports, terminals with more than one uplink/downlink, idle
+/// hubs, a cyclic switching core, unreachable flows, several flows
+/// originating at one terminal, two ISN domains sharing any edge
+/// (multiplexed onto one receiver, or one termination fanning out through a
+/// hub), or a credit configuration that could deadlock (an explicit
+/// zero-credit edge, a window beyond link::kMaxCreditWindow, or credits on
+/// a CXL domain crossing a transparent hub — §4.1 silent drops would leak
+/// window slots forever).
 /// The acyclic switching core plus >= 1 credit per flow-controlled hop is
 /// the plan-time deadlock-safety argument: sinks always drain, so by
 /// induction along the (finite, acyclic) downstream order every relay
@@ -462,29 +479,22 @@ struct DagFlowClass {
 /// that multiplexes every flow onto a single egress hop to one sink. The
 /// egress wire is oversubscribed `sources`:1, so with finite buffers the
 /// relay backpressures every source through its ingress hop's credits.
-[[nodiscard]] DagConfig make_incast_dag(const DagScenarioSpec& spec,
-                                        std::size_t sources);
-
-/// Weighted incast: flow i wears classes[i % classes.size()] (VC, DRR
+/// With `classes`, flow i wears classes[i % classes.size()] (VC, DRR
 /// weight, pacing, flit budget). One call builds an elephant/mice mix:
 /// e.g. {elephant, elephant, mouse} puts two greedy flows and one paced
 /// low-rate flow on their own VCs through the shared egress hop.
-[[nodiscard]] DagConfig make_incast_dag(const DagScenarioSpec& spec,
-                                        std::size_t sources,
-                                        std::span<const DagFlowClass> classes);
+[[nodiscard]] DagConfig make_incast_dag(
+    const DagScenarioSpec& spec, std::size_t sources,
+    std::span<const DagFlowClass> classes = {});
 
 /// Hotspot: `sources` terminals feed one relay; all but the last flow
 /// target the hot sink (sharing its egress hop) while the last rides to a
 /// private cold sink — backpressure must throttle the hot flows without
-/// starving the uncontended one.
-[[nodiscard]] DagConfig make_hotspot_dag(const DagScenarioSpec& spec,
-                                         std::size_t sources);
-
-/// Weighted hotspot: per-flow classes as in the weighted incast builder
+/// starving the uncontended one. Per-flow classes as in make_incast_dag
 /// (the last class lands on the cold flow).
-[[nodiscard]] DagConfig make_hotspot_dag(const DagScenarioSpec& spec,
-                                         std::size_t sources,
-                                         std::span<const DagFlowClass> classes);
+[[nodiscard]] DagConfig make_hotspot_dag(
+    const DagScenarioSpec& spec, std::size_t sources,
+    std::span<const DagFlowClass> classes = {});
 
 /// Diamond: `sources` terminals -> R0 -> {M_0 .. M_(branches-1)} -> R1 ->
 /// `sources` sinks. Every flow's primary path rides the lowest-id middle
@@ -501,15 +511,11 @@ struct DagFlowClass {
 /// Trunk contention: `sources` terminals -> R1 -> R2 -> `sources` sinks;
 /// every flow squeezes through the single R1 -> R2 trunk hop (the
 /// multistage-network bottleneck whose buffer provisioning the Stergiou
-/// study measures), then fans back out to private sinks.
-[[nodiscard]] DagConfig make_trunk_dag(const DagScenarioSpec& spec,
-                                       std::size_t sources);
-
-/// Weighted trunk contention: per-flow classes as in the weighted incast
-/// builder, all squeezing through the single R1 -> R2 trunk hop.
-[[nodiscard]] DagConfig make_trunk_dag(const DagScenarioSpec& spec,
-                                       std::size_t sources,
-                                       std::span<const DagFlowClass> classes);
+/// study measures), then fans back out to private sinks. Per-flow classes
+/// as in make_incast_dag.
+[[nodiscard]] DagConfig make_trunk_dag(
+    const DagScenarioSpec& spec, std::size_t sources,
+    std::span<const DagFlowClass> classes = {});
 
 /// Scale-out star: N host/device pairs sharing one transparent switch — the
 /// paper's title scenario in its smallest non-trivial form. Every flit of

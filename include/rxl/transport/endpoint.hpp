@@ -264,7 +264,6 @@ class Endpoint {
                       std::uint8_t vc);
   void note_credit_stall();
   void note_ecn_stall();
-  void replay_step();
   void enqueue_control(flit::ReplayCmd command, std::uint16_t fsn);
   void begin_replay_from(std::uint16_t seq);
   void arm_retry_timer();
@@ -347,7 +346,6 @@ class Endpoint {
   // RX state.
   std::uint16_t expected_seq_ = 0;   ///< ESeqNum
   std::uint16_t last_verified_ = kSeqMask;  ///< CXL: last explicit-seq match
-  bool any_verified_ = false;
   link::AckScheduler ack_scheduler_;
   sim::Timer ack_timer_;
   bool nack_active_ = false;

@@ -6,9 +6,7 @@
 namespace rxl::switchdev {
 
 RelaySwitch::RelaySwitch(sim::EventQueue& queue, std::string name)
-    : queue_(queue), name_(std::move(name)) {
-  (void)queue_;
-}
+    : queue_(queue), name_(std::move(name)) {}
 
 std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config) {
   const std::size_t index = ports_.size();

@@ -4,8 +4,11 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "rxl/link/credit.hpp"
@@ -16,26 +19,34 @@
 namespace rxl::transport {
 namespace {
 
-[[noreturn]] void invalid(std::string message) {
+// ---------------------------------------------------------------------------
+// Validation + routing plan
+// ---------------------------------------------------------------------------
+
+void append(std::string& out, const char* text) { out += text; }
+void append(std::string& out, const std::string& text) { out += text; }
+template <class Number>
+  requires std::is_arithmetic_v<Number>
+void append(std::string& out, Number value) {
+  out += std::to_string(value);
+}
+
+/// Throws std::invalid_argument whose message is `parts` concatenated
+/// (numbers through std::to_string). Appends with += rather than operator+
+/// chains, which trip GCC 12's -Wrestrict false positive at -O2. Callers
+/// build labels only inside the failing branch, so a valid config formats
+/// nothing.
+template <class... Parts>
+[[noreturn]] void invalid(const Parts&... parts) {
+  std::string message;
+  (append(message, parts), ...);
   throw std::invalid_argument(std::move(message));
 }
 
-/// Throws unless `value` is a probability in [0, 1] (NaN fails too).
-/// `edge` names the offending edge; the default marks a fabric-wide field.
-void require_probability(double value, const char* field,
-                         std::size_t edge = SIZE_MAX) {
-  if (value >= 0.0 && value <= 1.0) return;
-  std::string message;
-  if (edge != SIZE_MAX) {
-    message += "edge ";
-    message += std::to_string(edge);
-    message += " ";
-  }
-  message += field;
-  message += " must be a probability in [0, 1], got ";
-  message += std::to_string(value);
-  invalid(std::move(message));
-}
+/// True when `value` is a probability in [0, 1] (NaN fails).
+bool is_probability(double value) { return value >= 0.0 && value <= 1.0; }
+constexpr const char* kNotProbability =
+    " must be a probability in [0, 1], got ";
 
 std::string node_label(const DagConfig& config, std::size_t node) {
   if (node < config.nodes.size() && !config.nodes[node].name.empty())
@@ -45,16 +56,24 @@ std::string node_label(const DagConfig& config, std::size_t node) {
   return label;
 }
 
+DagNodeKind kind_of(const DagConfig& config, std::size_t node) {
+  return config.nodes[node].kind;
+}
+
+/// Incident edge ids per node, each list in edge-id order.
+struct Adjacency {
+  std::vector<std::vector<std::uint16_t>> out;
+  std::vector<std::vector<std::uint16_t>> in;
+};
+
 /// Breadth-first shortest path from `from` to `to`, ties broken by lowest
 /// edge id (out-edge lists are in declaration order, so first-reached
 /// wins). Traffic cannot transit a terminal, so the search never expands
 /// one past `from`. Edges flagged in `excluded` (when given) are skipped.
 /// Returns the edge ids in path order, or nullopt when `to` is unreachable.
 std::optional<std::vector<std::uint16_t>> shortest_path(
-    const DagConfig& config,
-    const std::vector<std::vector<std::uint16_t>>& out_edges,
-    std::uint16_t from, std::uint16_t to,
-    const std::vector<std::uint8_t>* excluded) {
+    const DagConfig& config, const Adjacency& adjacency, std::uint16_t from,
+    std::uint16_t to, const std::vector<std::uint8_t>* excluded) {
   const std::size_t n = config.nodes.size();
   std::vector<std::int32_t> parent_edge(n, -1);
   std::vector<std::uint8_t> visited(n, 0);
@@ -62,8 +81,8 @@ std::optional<std::vector<std::uint16_t>> shortest_path(
   visited[from] = 1;
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const std::uint16_t u = frontier[head];
-    if (u != from && config.nodes[u].kind == DagNodeKind::kTerminal) continue;
-    for (const std::uint16_t e : out_edges[u]) {
+    if (u != from && kind_of(config, u) == DagNodeKind::kTerminal) continue;
+    for (const std::uint16_t e : adjacency.out[u]) {
       if (excluded != nullptr && (*excluded)[e] != 0) continue;
       const std::uint16_t w = config.edges[e].dst;
       if (visited[w]) continue;
@@ -84,489 +103,421 @@ std::optional<std::vector<std::uint16_t>> shortest_path(
   return path;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Validation + routing plan
-// ---------------------------------------------------------------------------
-
-DagPlan plan_dag(const DagConfig& config) {
-  const std::size_t n = config.nodes.size();
-  if (n == 0) invalid("DAG topology has no nodes");
-  if (n >= 0xFFFF || config.edges.size() >= 0xFFF0 ||
+/// Pass 1: fields that apply to the whole fabric.
+void check_fabric_fields(const DagConfig& config) {
+  if (config.nodes.empty()) invalid("DAG topology has no nodes");
+  if (config.nodes.size() >= 0xFFFF || config.edges.size() >= 0xFFF0 ||
       config.flows.size() >= 0xFFFF)
     invalid("DAG topology exceeds the 16-bit id space");
-
-  auto kind = [&](std::size_t node) { return config.nodes[node].kind; };
-  auto label = [&](std::size_t node) { return node_label(config, node); };
   if (config.slot == 0) invalid("slot must be > 0 (it divides the horizon)");
   if (config.horizon == 0) invalid("horizon must be > 0");
-  require_probability(config.hub_internal_error_rate,
-                      "hub_internal_error_rate");
+  if (!is_probability(config.hub_internal_error_rate))
+    invalid("hub_internal_error_rate", kNotProbability,
+            config.hub_internal_error_rate);
+}
 
-  // Edge sanity + adjacency (out/in lists stay in edge-id order).
-  std::vector<std::vector<std::uint16_t>> out_edges(n);
-  std::vector<std::vector<std::uint16_t>> in_edges(n);
+/// Pass 2: per-edge fields, then the adjacency every later pass walks.
+Adjacency check_edges(const DagConfig& config) {
+  const std::size_t n = config.nodes.size();
+  Adjacency adjacency{std::vector<std::vector<std::uint16_t>>(n),
+                      std::vector<std::vector<std::uint16_t>>(n)};
   for (std::size_t e = 0; e < config.edges.size(); ++e) {
     const DagEdge& edge = config.edges[e];
-    if (edge.src >= n || edge.dst >= n) {
-      std::string message = "edge ";
-      message += std::to_string(e);
-      message += " references a node out of range";
-      invalid(std::move(message));
-    }
-    if (edge.src == edge.dst) {
-      std::string message = "self-edge at ";
-      message += label(edge.src);
-      invalid(std::move(message));
-    }
-    require_probability(edge.ber, "ber", e);
-    require_probability(edge.burst_injection_rate, "burst_injection_rate", e);
+    if (edge.src >= n || edge.dst >= n)
+      invalid("edge ", e, " references a node out of range");
+    if (edge.src == edge.dst)
+      invalid("self-edge at ", node_label(config, edge.src));
+    if (!is_probability(edge.ber))
+      invalid("edge ", e, " ber", kNotProbability, edge.ber);
+    if (!is_probability(edge.burst_injection_rate))
+      invalid("edge ", e, " burst_injection_rate", kNotProbability,
+              edge.burst_injection_rate);
     if (edge.credits.has_value()) {
-      // Deadlock safety: the acyclicity check below guarantees progress
-      // only if every flow-controlled hop can hold at least one flit
-      // (sinks drain unconditionally, so one credit per hop suffices for
-      // induction along the acyclic downstream order). A zero-credit hop
-      // could never transmit at all.
-      if (*edge.credits == 0) {
-        std::string message = "edge ";
-        message += std::to_string(e);
-        message += " into ";
-        message += label(edge.dst);
-        message += " declares a zero-credit buffer (the hop could never "
-                   "transmit); use at least one credit, or leave the edge "
-                   "at the DagConfig default";
-        invalid(std::move(message));
-      }
-      if (*edge.credits > link::kMaxCreditWindow) {
-        std::string message = "edge ";
-        message += std::to_string(e);
-        message += " credit window exceeds link::kMaxCreditWindow";
-        invalid(std::move(message));
-      }
+      // Deadlock safety: the core-acyclicity pass guarantees progress only
+      // if every flow-controlled hop can hold at least one flit (sinks
+      // drain unconditionally, so one credit per hop suffices for induction
+      // along the acyclic downstream order). A zero-credit hop could never
+      // transmit at all.
+      if (*edge.credits == 0)
+        invalid("edge ", e, " into ", node_label(config, edge.dst),
+                " declares a zero-credit buffer (the hop could never "
+                "transmit); use at least one credit, or leave the edge at "
+                "the DagConfig default");
+      if (*edge.credits > link::kMaxCreditWindow)
+        invalid("edge ", e, " credit window exceeds link::kMaxCreditWindow");
       // A hop's buffer lives at its terminating end, so credits are
       // resolved from the edge INTO the receiving termination. An edge
       // entering a hub never terminates a hop — credits set there would
       // be silently inert, so refuse them instead.
-      if (kind(edge.dst) == DagNodeKind::kHub) {
-        std::string message = "edge ";
-        message += std::to_string(e);
-        message += " enters hub ";
-        message += label(edge.dst);
-        message += ", which does not terminate the hop; set credits on "
-                   "the hub's egress edge (into the receiving termination)";
-        invalid(std::move(message));
-      }
+      if (kind_of(config, edge.dst) == DagNodeKind::kHub)
+        invalid("edge ", e, " enters hub ", node_label(config, edge.dst),
+                ", which does not terminate the hop; set credits on the "
+                "hub's egress edge (into the receiving termination)");
     }
-    out_edges[edge.src].push_back(static_cast<std::uint16_t>(e));
-    in_edges[edge.dst].push_back(static_cast<std::uint16_t>(e));
+    adjacency.out[edge.src].push_back(static_cast<std::uint16_t>(e));
+    adjacency.in[edge.dst].push_back(static_cast<std::uint16_t>(e));
   }
   if (config.hop_credits > link::kMaxCreditWindow)
     invalid("hop_credits exceeds link::kMaxCreditWindow");
+  return adjacency;
+}
 
-  // Fault-plan sanity: the plan may address fewer edges than the topology
-  // declares (missing tail entries mean "no faults") but never more,
-  // fail-stop events must name relay nodes, and every finite down window
-  // must have positive length.
+/// Pass 3: the fault plan may address fewer edges than the topology
+/// declares (missing tail entries mean "no faults") but never more,
+/// fail-stop events must name relay nodes, and every finite down window
+/// must have positive length. Duplicate edges are refused after it.
+void check_fault_plan(const DagConfig& config) {
   if (config.faults.edges.size() > config.edges.size())
     invalid("fault plan addresses more edges than the topology declares");
-  for (std::size_t e = 0; e < config.faults.edges.size(); ++e) {
-    for (const sim::FaultWindow& window : config.faults.edges[e].windows()) {
-      if (window.up_at != 0 && window.up_at <= window.down_at) {
-        std::string message = "fault window on edge ";
-        message += std::to_string(e);
-        message += " ends at or before it starts";
-        invalid(std::move(message));
-      }
-    }
-  }
-  for (const sim::RelayFailStop& failure : config.faults.relay_failures) {
-    if (failure.node >= n || kind(failure.node) != DagNodeKind::kRelay) {
-      std::string message = "relay fail-stop event at node ";
-      message += std::to_string(failure.node);
-      message += " does not name a relay";
-      invalid(std::move(message));
-    }
-  }
-  {
-    std::vector<std::pair<std::uint16_t, std::uint16_t>> pairs;
-    pairs.reserve(config.edges.size());
-    for (const DagEdge& edge : config.edges)
-      pairs.emplace_back(edge.src, edge.dst);
-    std::sort(pairs.begin(), pairs.end());
-    const auto dup = std::adjacent_find(pairs.begin(), pairs.end());
-    if (dup != pairs.end()) {
-      std::string message = "duplicate edge ";
-      message += label(dup->first);
-      message += " -> ";
-      message += label(dup->second);
-      invalid(std::move(message));
-    }
-  }
+  for (std::size_t e = 0; e < config.faults.edges.size(); ++e)
+    for (const sim::FaultWindow& window : config.faults.edges[e].windows())
+      if (window.up_at != 0 && window.up_at <= window.down_at)
+        invalid("fault window on edge ", e, " ends at or before it starts");
+  for (const sim::RelayFailStop& failure : config.faults.relay_failures)
+    if (failure.node >= config.nodes.size() ||
+        kind_of(config, failure.node) != DagNodeKind::kRelay)
+      invalid("relay fail-stop event at node ", failure.node,
+              " does not name a relay");
+}
 
-  // Per-node-kind constraints.
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t fanout = out_edges[v].size() + in_edges[v].size();
-    if (fanout > config.max_ports) {
-      std::string message = label(v);
-      message += " exceeds the fan-out limit (";
-      message += std::to_string(fanout);
-      message += " incident edges, max_ports=";
-      message += std::to_string(config.max_ports);
-      message += ")";
-      invalid(std::move(message));
-    }
-    switch (kind(v)) {
+/// Pass 3, continued: at most one edge per ordered node pair.
+void check_no_duplicate_edges(const DagConfig& config) {
+  std::vector<std::pair<std::uint16_t, std::uint16_t>> pairs;
+  pairs.reserve(config.edges.size());
+  for (const DagEdge& edge : config.edges)
+    pairs.emplace_back(edge.src, edge.dst);
+  std::sort(pairs.begin(), pairs.end());
+  const auto dup = std::adjacent_find(pairs.begin(), pairs.end());
+  if (dup != pairs.end())
+    invalid("duplicate edge ", node_label(config, dup->first), " -> ",
+            node_label(config, dup->second));
+}
+
+/// Pass 4: port fan-out, single-homed terminals, and hubs that both
+/// receive and send.
+void check_node_limits(const DagConfig& config, const Adjacency& adjacency) {
+  for (std::size_t v = 0; v < config.nodes.size(); ++v) {
+    const std::size_t fanout = adjacency.out[v].size() + adjacency.in[v].size();
+    if (fanout > config.max_ports)
+      invalid(node_label(config, v), " exceeds the fan-out limit (", fanout,
+              " incident edges, max_ports=", config.max_ports, ")");
+    switch (kind_of(config, v)) {
       case DagNodeKind::kTerminal:
-        if (out_edges[v].size() > 1) {
-          std::string message = "terminal ";
-          message += label(v);
-          message += " has more than one uplink edge";
-          invalid(std::move(message));
-        }
-        if (in_edges[v].size() > 1) {
-          std::string message = "terminal ";
-          message += label(v);
-          message += " has more than one downlink edge";
-          invalid(std::move(message));
-        }
+        if (adjacency.out[v].size() > 1)
+          invalid("terminal ", node_label(config, v),
+                  " has more than one uplink edge");
+        if (adjacency.in[v].size() > 1)
+          invalid("terminal ", node_label(config, v),
+                  " has more than one downlink edge");
         break;
       case DagNodeKind::kHub:
-        if (out_edges[v].empty() || in_edges[v].empty()) {
-          std::string message = "hub ";
-          message += label(v);
-          message += " needs at least one ingress and one egress edge";
-          invalid(std::move(message));
-        }
+        if (adjacency.out[v].empty() || adjacency.in[v].empty())
+          invalid("hub ", node_label(config, v),
+                  " needs at least one ingress and one egress edge");
         break;
       case DagNodeKind::kRelay:
         break;
     }
   }
+}
 
-  // Acyclicity of the switching core. Traffic cannot transit a terminal
-  // (flows only originate/terminate there), so the only cycles reachable by
-  // routed flits are cycles among relays/hubs: DFS with colors over edges
-  // whose endpoints are both non-terminal.
-  {
-    std::vector<std::uint8_t> color(n, 0);  // 0=white 1=grey 2=black
-    struct Frame {
-      std::uint16_t node;
-      std::size_t next;
-    };
-    std::vector<Frame> stack;
-    for (std::size_t start = 0; start < n; ++start) {
-      if (kind(start) == DagNodeKind::kTerminal || color[start] != 0) continue;
-      color[start] = 1;
-      stack.push_back(Frame{static_cast<std::uint16_t>(start), 0});
-      while (!stack.empty()) {
-        Frame& frame = stack.back();
-        if (frame.next < out_edges[frame.node].size()) {
-          const std::uint16_t e = out_edges[frame.node][frame.next++];
-          const std::uint16_t w = config.edges[e].dst;
-          if (kind(w) == DagNodeKind::kTerminal) continue;
-          if (color[w] == 1) {
-            std::string message =
-                "the switching core contains a cycle through ";
-            message += label(w);
-            invalid(std::move(message));
-          }
-          if (color[w] == 0) {
-            color[w] = 1;
-            stack.push_back(Frame{w, 0});
-          }
-        } else {
-          color[frame.node] = 2;
-          stack.pop_back();
+/// Pass 5: acyclicity of the switching core. Traffic cannot transit a
+/// terminal (flows only originate/terminate there), so the only cycles
+/// reachable by routed flits are cycles among relays/hubs: DFS with colors
+/// over edges whose endpoints are both non-terminal.
+void check_core_acyclic(const DagConfig& config, const Adjacency& adjacency) {
+  const std::size_t n = config.nodes.size();
+  std::vector<std::uint8_t> color(n, 0);  // 0=white 1=grey 2=black
+  struct Frame {
+    std::uint16_t node;
+    std::size_t next;
+  };
+  std::vector<Frame> stack;
+  for (std::size_t start = 0; start < n; ++start) {
+    if (kind_of(config, start) == DagNodeKind::kTerminal || color[start] != 0)
+      continue;
+    color[start] = 1;
+    stack.push_back(Frame{static_cast<std::uint16_t>(start), 0});
+    while (!stack.empty()) {
+      Frame& frame = stack.back();
+      if (frame.next < adjacency.out[frame.node].size()) {
+        const std::uint16_t e = adjacency.out[frame.node][frame.next++];
+        const std::uint16_t w = config.edges[e].dst;
+        if (kind_of(config, w) == DagNodeKind::kTerminal) continue;
+        if (color[w] == 1)
+          invalid("the switching core contains a cycle through ",
+                  node_label(config, w));
+        if (color[w] == 0) {
+          color[w] = 1;
+          stack.push_back(Frame{w, 0});
         }
+      } else {
+        color[frame.node] = 2;
+        stack.pop_back();
       }
     }
   }
+}
 
-  // Per-flow routing: BFS shortest path, ties broken by lowest edge id
-  // (out-edge lists are in declaration order, so first-reached wins).
+/// Pass 6: per-flow endpoint checks and primary routes (shortest_path).
+DagPlan route_flows(const DagConfig& config, const Adjacency& adjacency) {
+  const std::size_t n = config.nodes.size();
   DagPlan plan;
   plan.flow_paths.resize(config.flows.size());
   plan.flow_segments.resize(config.flows.size());
-  std::vector<std::int32_t> origin_flow(n, -1);
+  std::vector<std::uint8_t> originates(n, 0);
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     const DagFlow& flow = config.flows[f];
-    if (flow.src >= n || flow.dst >= n) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " references a node out of range";
-      invalid(std::move(message));
-    }
-    if (kind(flow.src) != DagNodeKind::kTerminal ||
-        kind(flow.dst) != DagNodeKind::kTerminal) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " endpoints must be terminals";
-      invalid(std::move(message));
-    }
-    if (flow.src == flow.dst) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " sends to its own source";
-      invalid(std::move(message));
-    }
-    if (origin_flow[flow.src] >= 0) {
-      std::string message = "terminal ";
-      message += label(flow.src);
-      message += " originates more than one flow";
-      invalid(std::move(message));
-    }
-    origin_flow[flow.src] = static_cast<std::int32_t>(f);
-    if (flow.vc >= link::kMaxVcs) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " rides VC ";
-      message += std::to_string(flow.vc);
-      message += ", beyond link::kMaxVcs";
-      invalid(std::move(message));
-    }
-
+    if (flow.src >= n || flow.dst >= n)
+      invalid("flow ", f, " references a node out of range");
+    if (kind_of(config, flow.src) != DagNodeKind::kTerminal ||
+        kind_of(config, flow.dst) != DagNodeKind::kTerminal)
+      invalid("flow ", f, " endpoints must be terminals");
+    if (flow.src == flow.dst) invalid("flow ", f, " sends to its own source");
+    if (originates[flow.src] != 0)
+      invalid("terminal ", node_label(config, flow.src),
+              " originates more than one flow");
+    originates[flow.src] = 1;
+    if (flow.vc >= link::kMaxVcs)
+      invalid("flow ", f, " rides VC ", flow.vc, ", beyond link::kMaxVcs");
     std::optional<std::vector<std::uint16_t>> path =
-        shortest_path(config, out_edges, flow.src, flow.dst, nullptr);
-    if (!path.has_value()) {
-      std::string message = "flow ";
-      message += label(flow.src);
-      message += " -> ";
-      message += label(flow.dst);
-      message += " is unreachable";
-      invalid(std::move(message));
-    }
+        shortest_path(config, adjacency, flow.src, flow.dst, nullptr);
+    if (!path.has_value())
+      invalid("flow ", node_label(config, flow.src), " -> ",
+              node_label(config, flow.dst), " is unreachable");
     plan.flow_paths[f] = std::move(*path);
   }
+  return plan;
+}
 
-  // QoS sanity. Relays schedule VCs, not flows, so every flow sharing a VC
-  // must declare the same DRR weight — a mismatch would silently pick one.
-  {
-    std::array<std::int64_t, link::kMaxVcs> vc_weight;
-    vc_weight.fill(-1);
-    for (std::size_t f = 0; f < config.flows.size(); ++f) {
-      const DagFlow& flow = config.flows[f];
-      if (vc_weight[flow.vc] < 0) {
-        vc_weight[flow.vc] = static_cast<std::int64_t>(flow.weight);
-      } else if (vc_weight[flow.vc] != static_cast<std::int64_t>(flow.weight)) {
-        std::string message = "flow ";
-        message += std::to_string(f);
-        message += " declares weight ";
-        message += std::to_string(flow.weight);
-        message += " for VC ";
-        message += std::to_string(flow.vc);
-        message += ", but an earlier flow on the same VC declared ";
-        message += std::to_string(vc_weight[flow.vc]);
-        invalid(std::move(message));
-      }
-    }
+/// The first thing wrong with `flow`'s arrival process, or null: each
+/// kind's shape parameters must be present, and parameters of other kinds
+/// must be absent — a silently-ignored knob would misstate the offered load.
+const char* arrival_problem(const DagFlow& flow) {
+  switch (flow.arrival) {
+    case ArrivalKind::kGreedy:
+      if (flow.interval > 0)
+        return "sets interval; pick a rate-shaped arrival kind";
+      break;
+    case ArrivalKind::kPaced:
+    case ArrivalKind::kPoisson:
+      if (flow.interval == 0) return "needs interval > 0";
+      break;
+    case ArrivalKind::kOnOff:
+      if (flow.interval == 0) return "needs interval > 0 (burst spacing)";
+      if (flow.off_mean == 0) return "needs off_mean > 0";
+      if (!(flow.on_mean_flits >= 1.0)) return "needs on_mean_flits >= 1";
+      break;
+    case ArrivalKind::kClosedLoop:
+      if (flow.window == 0) return "needs window >= 1";
+      if (flow.interval > 0) return "takes no interval";
+      return nullptr;
   }
-  // Arrival-process sanity: each kind's shape parameters must be present,
-  // and parameters of other kinds must be absent — a silently-ignored knob
-  // would misstate the offered load.
+  if (flow.window > 0) return "sets window; only closed-loop flows take one";
+  if (flow.think > 0) return "sets think; only closed-loop flows take one";
+  return nullptr;
+}
+
+/// Pass 7: QoS and arrival specs. Relays schedule VCs, not flows, so every
+/// flow sharing a VC must declare the same DRR weight — a mismatch would
+/// silently pick one. ECN marks ride on the credit machinery (they throttle
+/// a VC BEFORE its window exhausts, and endpoints ignore the mark byte with
+/// credits off), so a threshold with every hop unbounded could never fire.
+void check_flow_specs(const DagConfig& config) {
+  std::array<std::int64_t, link::kMaxVcs> vc_weight;
+  vc_weight.fill(-1);
   for (std::size_t f = 0; f < config.flows.size(); ++f) {
     const DagFlow& flow = config.flows[f];
-    auto flow_invalid = [&](const char* what) {
-      std::string message = "flow ";
-      message += std::to_string(f);
-      message += " (";
-      message += arrival_kind_name(flow.arrival);
-      message += " arrivals) ";
-      message += what;
-      invalid(std::move(message));
-    };
-    switch (flow.arrival) {
-      case ArrivalKind::kGreedy:
-        if (flow.interval > 0)
-          flow_invalid("sets interval; pick a rate-shaped arrival kind");
-        break;
-      case ArrivalKind::kPaced:
-      case ArrivalKind::kPoisson:
-        if (flow.interval == 0) flow_invalid("needs interval > 0");
-        break;
-      case ArrivalKind::kOnOff:
-        if (flow.interval == 0)
-          flow_invalid("needs interval > 0 (burst spacing)");
-        if (flow.off_mean == 0) flow_invalid("needs off_mean > 0");
-        if (!(flow.on_mean_flits >= 1.0))
-          flow_invalid("needs on_mean_flits >= 1");
-        break;
-      case ArrivalKind::kClosedLoop:
-        if (flow.window == 0) flow_invalid("needs window >= 1");
-        if (flow.interval > 0) flow_invalid("takes no interval");
-        break;
-    }
-    if (flow.window > 0 && flow.arrival != ArrivalKind::kClosedLoop)
-      flow_invalid("sets window; only closed-loop flows take one");
-    if (flow.think > 0 && flow.arrival != ArrivalKind::kClosedLoop)
-      flow_invalid("sets think; only closed-loop flows take one");
+    const auto weight = static_cast<std::int64_t>(flow.weight);
+    if (vc_weight[flow.vc] < 0) vc_weight[flow.vc] = weight;
+    if (vc_weight[flow.vc] != weight)
+      invalid("flow ", f, " declares weight ", flow.weight, " for VC ", flow.vc,
+              ", but an earlier flow on the same VC declared ",
+              vc_weight[flow.vc]);
   }
-
-  // ECN marks ride on the credit machinery (they throttle a VC BEFORE its
-  // window exhausts, and endpoints ignore the mark byte with credits off),
-  // so a threshold with every hop unbounded could never fire.
+  for (std::size_t f = 0; f < config.flows.size(); ++f)
+    if (const char* problem = arrival_problem(config.flows[f]))
+      invalid("flow ", f, " (", arrival_kind_name(config.flows[f].arrival),
+              " arrivals) ", problem);
   if (config.ecn_threshold > 0 && config.hop_credits == 0 &&
       std::none_of(config.edges.begin(), config.edges.end(),
                    [](const DagEdge& edge) { return edge.credits.has_value(); }))
     invalid(
         "ecn_threshold set with credit flow control off everywhere; ECN "
         "early backpressure needs hop_credits or per-edge credits");
+}
 
-  // Segment extraction: split each path at terminating nodes. A run between
-  // terminations is one direct edge or a path through a chain of hubs.
-  // Domains are exclusive per edge — an edge carries at most one domain
-  // direction — so a receiver never has to demux two ISN streams, and each
-  // hub egress port can hold the one next-stage tag its domain needs.
-  auto hub_port_of = [&](std::uint16_t hub, std::uint16_t edge) {
-    const std::vector<std::uint16_t>& outs = out_edges[hub];
+/// Pass 8: splits routed paths into ISN-domain segments at terminating
+/// nodes. A run between terminations is one direct edge or a path through a
+/// chain of hubs. Domains are exclusive per edge — an edge carries at most
+/// one domain direction — so a receiver never has to demux two ISN streams,
+/// and each hub egress port can hold the one next-stage tag its domain
+/// needs. A path re-walking an already planned segment reuses it.
+class SegmentExtractor {
+ public:
+  SegmentExtractor(const DagConfig& config, const Adjacency& adjacency,
+                   DagPlan& plan)
+      : config_(config),
+        adjacency_(adjacency),
+        plan_(plan),
+        segment_of_edge_(config.edges.size(), -1) {}
+
+  /// Appends the plan segment index of every run along `path` to `into`.
+  void extract(const std::vector<std::uint16_t>& path,
+               std::vector<std::uint32_t>& into) {
+    for (std::size_t i = 0; i < path.size();)
+      into.push_back(add(next_segment(path, i)));
+  }
+
+ private:
+  /// The run starting at path[i]; advances `i` past it.
+  DagPlan::Segment next_segment(const std::vector<std::uint16_t>& path,
+                                std::size_t& i) const {
+    DagPlan::Segment segment;
+    std::uint16_t edge = path[i++];
+    segment.origin = config_.edges[edge].src;
+    segment.egress_edge = edge;
+    while (kind_of(config_, config_.edges[edge].dst) == DagNodeKind::kHub) {
+      assert(i < path.size());
+      const std::uint16_t hub = config_.edges[edge].dst;
+      edge = path[i++];
+      segment.hubs.push_back(DagPlan::HubStage{hub, hub_port(hub, edge), edge});
+    }
+    segment.ingress_edge = edge;
+    segment.peer = config_.edges[edge].dst;
+    return segment;
+  }
+
+  std::uint16_t hub_port(std::uint16_t hub, std::uint16_t edge) const {
+    const std::vector<std::uint16_t>& outs = adjacency_.out[hub];
     const auto it = std::find(outs.begin(), outs.end(), edge);
     assert(it != outs.end());
     return static_cast<std::uint16_t>(it - outs.begin());
-  };
-  std::vector<std::int32_t> segment_of_edge(config.edges.size(), -1);
-  auto extract_segments = [&](const std::vector<std::uint16_t>& path,
-                              std::vector<std::uint32_t>& into) {
-    std::size_t i = 0;
-    while (i < path.size()) {
-      DagPlan::Segment segment;
-      std::uint16_t edge = path[i++];
-      segment.origin = config.edges[edge].src;
-      segment.egress_edge = edge;
-      while (kind(config.edges[edge].dst) == DagNodeKind::kHub) {
-        assert(i < path.size());
-        const std::uint16_t hub = config.edges[edge].dst;
-        edge = path[i++];
-        segment.hubs.push_back(
-            DagPlan::HubStage{hub, hub_port_of(hub, edge), edge});
-      }
-      segment.ingress_edge = edge;
-      segment.peer = config.edges[edge].dst;
+  }
 
-      const std::int32_t existing = segment_of_edge[segment.egress_edge];
-      if (existing >= 0) {
-        const DagPlan::Segment& other =
-            plan.segments[static_cast<std::size_t>(existing)];
-        const auto same_stage = [](const DagPlan::HubStage& a,
-                                   const DagPlan::HubStage& b) {
-          return a.edge == b.edge;
-        };
-        if (!std::equal(other.hubs.begin(), other.hubs.end(),
-                        segment.hubs.begin(), segment.hubs.end(),
-                        same_stage)) {
-          std::string message = "ISN domain leaving ";
-          message += label(segment.origin);
-          message += " fans out through hub ";
-          message += label(segment.hubs.front().hub);
-          message += " (one TX termination cannot feed two receivers)";
-          invalid(std::move(message));
-        }
-        into.push_back(static_cast<std::uint32_t>(existing));
-        continue;
-      }
-      const std::uint32_t index =
-          static_cast<std::uint32_t>(plan.segments.size());
-      auto claim = [&](std::uint16_t e) {
-        if (segment_of_edge[e] >= 0) {
-          std::string message =
-              "two ISN domains are multiplexed onto the edge into ";
-          message += label(config.edges[e].dst);
-          message += " (an implicit-sequence receiver cannot demux them)";
-          invalid(std::move(message));
-        }
-        segment_of_edge[e] = static_cast<std::int32_t>(index);
+  /// The plan index of `segment`: the existing one when its first edge is
+  /// already claimed (it must then cross the same hub stages), else a new
+  /// one claiming each of its edges.
+  std::uint32_t add(DagPlan::Segment segment) {
+    const std::int32_t existing = segment_of_edge_[segment.egress_edge];
+    if (existing >= 0) {
+      const DagPlan::Segment& other =
+          plan_.segments[static_cast<std::size_t>(existing)];
+      const auto same_stage = [](const DagPlan::HubStage& a,
+                                 const DagPlan::HubStage& b) {
+        return a.edge == b.edge;
       };
-      claim(segment.egress_edge);
-      for (const DagPlan::HubStage& stage : segment.hubs) claim(stage.edge);
-      plan.segments.push_back(std::move(segment));
-      into.push_back(index);
+      if (!std::equal(other.hubs.begin(), other.hubs.end(),
+                      segment.hubs.begin(), segment.hubs.end(), same_stage))
+        invalid("ISN domain leaving ", node_label(config_, segment.origin),
+                " fans out through hub ",
+                node_label(config_, segment.hubs.front().hub),
+                " (one TX termination cannot feed two receivers)");
+      return static_cast<std::uint32_t>(existing);
     }
-  };
-  for (std::size_t f = 0; f < config.flows.size(); ++f)
-    extract_segments(plan.flow_paths[f], plan.flow_segments[f]);
-
-  // Backup routes for planned faults: for every (flow, primary segment)
-  // whose forward edges are doomed — a permanent down window, or incidence
-  // to a fail-stop relay — precompute a detour from the dead segment's
-  // origin to the flow's destination over the surviving graph, with the
-  // same BFS and lowest-edge-id tie-break as primaries. Backup segments go
-  // through the same dedup maps BEFORE mate pairing below, so they pair
-  // with reverse topology edges exactly like primary segments. Empty
-  // backup_edges records "no surviving route": the reroute controller
-  // reports the abandonment and the flow degrades.
-  if (!config.faults.empty()) {
-    std::vector<std::uint8_t> node_failed(n, 0);
-    for (const sim::RelayFailStop& failure : config.faults.relay_failures)
-      node_failed[failure.node] = 1;
-    std::vector<std::uint8_t> edge_doomed(config.edges.size(), 0);
-    for (std::size_t e = 0; e < config.edges.size(); ++e) {
-      if (e < config.faults.edges.size() &&
-          config.faults.edges[e].permanently_down())
-        edge_doomed[e] = 1;
-      if (node_failed[config.edges[e].src] != 0 ||
-          node_failed[config.edges[e].dst] != 0)
-        edge_doomed[e] = 1;
-    }
-    for (std::size_t f = 0; f < config.flows.size(); ++f) {
-      const DagFlow& flow = config.flows[f];
-      for (const std::uint32_t si : plan.flow_segments[f]) {
-        const DagPlan::Segment& segment = plan.segments[si];
-        if (edge_doomed[segment.egress_edge] == 0 &&
-            edge_doomed[segment.ingress_edge] == 0)
-          continue;
-        // A fail-stop relay raises no usable HopDownEvent for its own
-        // egress hops (its protocol state is lost with it); the upstream
-        // segment INTO the failed relay owns the recovery instead.
-        if (node_failed[segment.origin] != 0) continue;
-        DagPlan::Reroute reroute;
-        reroute.flow = static_cast<std::uint16_t>(f);
-        reroute.dead_segment = si;
-        std::optional<std::vector<std::uint16_t>> backup = shortest_path(
-            config, out_edges, segment.origin, flow.dst, &edge_doomed);
-        if (backup.has_value()) {
-          reroute.backup_edges = std::move(*backup);
-          extract_segments(reroute.backup_edges, reroute.backup_segments);
-        }
-        plan.reroutes.push_back(std::move(reroute));
-      }
-    }
+    const auto index = static_cast<std::uint32_t>(plan_.segments.size());
+    claim(segment.egress_edge, index);
+    for (const DagPlan::HubStage& stage : segment.hubs)
+      claim(stage.edge, index);
+    plan_.segments.push_back(std::move(segment));
+    return index;
   }
 
-  // Credit accounting assumes exactly-once delivery within the domain: a
-  // slot is charged per first transmission and freed per delivery. A CXL
-  // domain spliced through a transparent hub breaks that — the hub drops
-  // silently and a following ack-carrying flit masks the gap (§4.1), so a
-  // lost flit leaks its credit forever (the cumulative-count healing cannot
-  // recover a slot that will never be delivered) and a duplicate delivery
-  // inflates the window past the advertised depth. Relay-terminated hops
-  // and hubless CXL domains detect every drop at the receiving endpoint
-  // and stay exactly-once, so only the hub-crossing CXL combination is
-  // rejected.
-  if (config.protocol.protocol == Protocol::kCxl) {
-    for (const DagPlan::Segment& segment : plan.segments) {
-      if (segment.hubs.empty()) continue;
-      const std::size_t credits =
-          config.edges[segment.ingress_edge].credits.value_or(
-              config.hop_credits);
-      if (credits > 0) {
-        std::string message =
-            "credit flow control on the CXL domain through hub ";
-        message += label(segment.hubs.front().hub);
-        message += " would leak credits on silently dropped flits (§4.1 "
-                   "losses are invisible to the cumulative return count); "
-                   "use RXL, terminate the hop at a relay, or disable "
-                   "credits on this edge";
-        invalid(std::move(message));
-      }
-    }
+  void claim(std::uint16_t edge, std::uint32_t index) {
+    if (segment_of_edge_[edge] >= 0)
+      invalid("two ISN domains are multiplexed onto the edge into ",
+              node_label(config_, config_.edges[edge].dst),
+              " (an implicit-sequence receiver cannot demux them)");
+    segment_of_edge_[edge] = static_cast<std::int32_t>(index);
   }
 
-  // Pair mutually reverse segments into bidirectional domains: the segment
-  // from a peer back to its origin, through whichever hubs (the paper's
-  // switch-level trial runs separate downstream and upstream switch stacks
-  // as one domain). At most one candidate exists: between two relays a
-  // return path would close a cycle in the switching core (rejected above),
-  // and a terminal's single uplink and downlink edges each belong to one
-  // domain direction. So a linear scan suffices.
+  const DagConfig& config_;
+  const Adjacency& adjacency_;
+  DagPlan& plan_;
+  std::vector<std::int32_t> segment_of_edge_;
+};
+
+/// Pass 9: backup routes for planned faults. For every (flow, primary
+/// segment) whose forward edges are doomed — a permanent down window, or
+/// incidence to a fail-stop relay — precompute a detour from the dead
+/// segment's origin to the flow's destination over the surviving graph,
+/// with the same BFS and lowest-edge-id tie-break as primaries. Backup
+/// segments go through the same extractor BEFORE mate pairing, so they pair
+/// with reverse topology edges exactly like primary segments. Empty
+/// backup_edges records "no surviving route": the reroute controller
+/// reports the abandonment and the flow degrades.
+void plan_backup_routes(const DagConfig& config, const Adjacency& adjacency,
+                        SegmentExtractor& extractor, DagPlan& plan) {
+  if (config.faults.empty()) return;
+  std::vector<std::uint8_t> node_failed(config.nodes.size(), 0);
+  for (const sim::RelayFailStop& failure : config.faults.relay_failures)
+    node_failed[failure.node] = 1;
+  std::vector<std::uint8_t> edge_doomed(config.edges.size(), 0);
+  for (std::size_t e = 0; e < config.edges.size(); ++e) {
+    if (e < config.faults.edges.size() &&
+        config.faults.edges[e].permanently_down())
+      edge_doomed[e] = 1;
+    if (node_failed[config.edges[e].src] != 0 ||
+        node_failed[config.edges[e].dst] != 0)
+      edge_doomed[e] = 1;
+  }
+  for (std::size_t f = 0; f < config.flows.size(); ++f) {
+    for (const std::uint32_t si : plan.flow_segments[f]) {
+      const DagPlan::Segment& segment = plan.segments[si];
+      if (edge_doomed[segment.egress_edge] == 0 &&
+          edge_doomed[segment.ingress_edge] == 0)
+        continue;
+      // A fail-stop relay raises no usable HopDownEvent for its own egress
+      // hops (its protocol state is lost with it); the upstream segment
+      // INTO the failed relay owns the recovery instead.
+      if (node_failed[segment.origin] != 0) continue;
+      DagPlan::Reroute reroute;
+      reroute.flow = static_cast<std::uint16_t>(f);
+      reroute.dead_segment = si;
+      std::optional<std::vector<std::uint16_t>> backup = shortest_path(
+          config, adjacency, segment.origin, config.flows[f].dst, &edge_doomed);
+      if (backup.has_value()) {
+        reroute.backup_edges = std::move(*backup);
+        extractor.extract(reroute.backup_edges, reroute.backup_segments);
+      }
+      plan.reroutes.push_back(std::move(reroute));
+    }
+  }
+}
+
+/// Pass 10: credit accounting assumes exactly-once delivery within the
+/// domain: a slot is charged per first transmission and freed per
+/// delivery. A CXL domain spliced through a transparent hub breaks that —
+/// the hub drops silently and a following ack-carrying flit masks the gap
+/// (§4.1), so a lost flit leaks its credit forever (the cumulative-count
+/// healing cannot recover a slot that will never be delivered) and a
+/// duplicate delivery inflates the window past the advertised depth.
+/// Relay-terminated hops and hubless CXL domains detect every drop at the
+/// receiving endpoint and stay exactly-once, so only the hub-crossing CXL
+/// combination is rejected.
+void check_cxl_hub_credits(const DagConfig& config, const DagPlan& plan) {
+  if (config.protocol.protocol != Protocol::kCxl) return;
+  for (const DagPlan::Segment& segment : plan.segments) {
+    if (segment.hubs.empty()) continue;
+    if (config.edges[segment.ingress_edge].credits.value_or(
+            config.hop_credits) > 0)
+      invalid("credit flow control on the CXL domain through hub ",
+              node_label(config, segment.hubs.front().hub),
+              " would leak credits on silently dropped flits (§4.1 losses "
+              "are invisible to the cumulative return count); use RXL, "
+              "terminate the hop at a relay, or disable credits on this "
+              "edge");
+  }
+}
+
+/// Pass 11: pairs mutually reverse segments into bidirectional domains: the
+/// segment from a peer back to its origin, through whichever hubs (the
+/// paper's switch-level trial runs separate downstream and upstream switch
+/// stacks as one domain). At most one candidate exists: between two relays
+/// a return path would close a cycle in the switching core (pass 5), and a
+/// terminal's single uplink and downlink edges each belong to one domain
+/// direction. So a linear scan suffices.
+void pair_mates(DagPlan& plan) {
   for (std::size_t i = 0; i < plan.segments.size(); ++i) {
     if (plan.segments[i].mate.has_value()) continue;
     for (std::size_t j = i + 1; j < plan.segments.size(); ++j) {
@@ -578,6 +529,25 @@ DagPlan plan_dag(const DagConfig& config) {
       }
     }
   }
+}
+
+}  // namespace
+
+DagPlan plan_dag(const DagConfig& config) {
+  check_fabric_fields(config);
+  const Adjacency adjacency = check_edges(config);
+  check_fault_plan(config);
+  check_no_duplicate_edges(config);
+  check_node_limits(config, adjacency);
+  check_core_acyclic(config, adjacency);
+  DagPlan plan = route_flows(config, adjacency);
+  check_flow_specs(config);
+  SegmentExtractor extractor(config, adjacency, plan);
+  for (std::size_t f = 0; f < config.flows.size(); ++f)
+    extractor.extract(plan.flow_paths[f], plan.flow_segments[f]);
+  plan_backup_routes(config, adjacency, extractor, plan);
+  check_cxl_hub_credits(config, plan);
+  pair_mates(plan);
   return plan;
 }
 
@@ -1430,155 +1400,146 @@ DagReport run_dag_fabric(const DagConfig& config) {
 // Report aggregates
 // ---------------------------------------------------------------------------
 
-std::uint64_t DagReport::total_offered() const {
+namespace {
+
+using Scoreboard = txn::StreamScoreboard::Stats;
+
+/// Sums one counter over `rows`.
+template <class Row>
+std::uint64_t sum_of(const std::vector<Row>& rows, std::uint64_t Row::*field) {
   std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows) total += flow.offered;
+  for (const Row& row : rows) total += row.*field;
   return total;
+}
+
+/// Sums one counter of each row's `stats` record over `rows`.
+template <class Row, class Stats>
+std::uint64_t sum_of(const std::vector<Row>& rows, Stats Row::*stats,
+                     std::uint64_t Stats::*field) {
+  std::uint64_t total = 0;
+  for (const Row& row : rows) total += (row.*stats).*field;
+  return total;
+}
+
+/// Sums one EndpointExtraStats counter over both terminations of every hop.
+std::uint64_t sum_extras(const std::vector<DagLinkStats>& hops,
+                         std::uint64_t EndpointExtraStats::*field) {
+  return sum_of(hops, &DagLinkStats::a_extra, field) +
+         sum_of(hops, &DagLinkStats::b_extra, field);
+}
+
+/// Folds one counter over every relay port: the sum, or the maximum when
+/// `peak` is set.
+std::uint64_t fold_relay_ports(const std::vector<DagRelayReport>& relays,
+                               std::uint64_t switchdev::RelayPortStats::*field,
+                               bool peak) {
+  std::uint64_t folded = 0;
+  for (const DagRelayReport& relay : relays)
+    for (const DagRelayPort& port : relay.ports)
+      folded = peak ? std::max(folded, port.stats.*field)
+                    : folded + port.stats.*field;
+  return folded;
+}
+
+}  // namespace
+
+std::uint64_t DagReport::total_offered() const {
+  return sum_of(flows, &DagFlowReport::offered);
 }
 
 std::uint64_t DagReport::total_in_order() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows) total += flow.scoreboard.in_order;
-  return total;
+  return sum_of(flows, &DagFlowReport::scoreboard, &Scoreboard::in_order);
 }
 
 std::uint64_t DagReport::total_order_failures() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows)
-    total += flow.scoreboard.order_violations + flow.scoreboard.duplicates;
-  return total;
+  return sum_of(flows, &DagFlowReport::scoreboard,
+                &Scoreboard::order_violations) +
+         sum_of(flows, &DagFlowReport::scoreboard, &Scoreboard::duplicates);
 }
 
 std::uint64_t DagReport::total_missing() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows) total += flow.scoreboard.missing;
-  return total;
+  return sum_of(flows, &DagFlowReport::scoreboard, &Scoreboard::missing);
 }
 
 std::uint64_t DagReport::total_data_corruptions() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows)
-    total += flow.scoreboard.data_corruptions;
-  return total;
+  return sum_of(flows, &DagFlowReport::scoreboard,
+                &Scoreboard::data_corruptions);
 }
 
 std::uint64_t DagReport::total_hop_retransmissions() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a.data_flits_retransmitted + hop.b.data_flits_retransmitted;
-  return total;
+  return sum_of(hops, &DagLinkStats::a,
+                &link::EndpointStats::data_flits_retransmitted) +
+         sum_of(hops, &DagLinkStats::b,
+                &link::EndpointStats::data_flits_retransmitted);
 }
 
 std::uint64_t DagReport::total_relay_no_route_drops() const {
-  std::uint64_t total = 0;
-  for (const DagRelayReport& relay : relays)
-    for (const DagRelayPort& port : relay.ports)
-      total += port.stats.dropped_no_route;
-  return total;
+  return fold_relay_ports(relays, &switchdev::RelayPortStats::dropped_no_route,
+                          false);
 }
 
 std::uint64_t DagReport::total_credit_stalls() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credit_stalls + hop.b_extra.credit_stalls;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::credit_stalls);
 }
 
 std::uint64_t DagReport::total_credits_consumed() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credits_consumed + hop.b_extra.credits_consumed;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::credits_consumed);
 }
 
 std::uint64_t DagReport::total_credits_returned() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credits_returned + hop.b_extra.credits_returned;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::credits_returned);
 }
 
 std::uint64_t DagReport::total_credits_granted() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credits_granted + hop.b_extra.credits_granted;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::credits_granted);
 }
 
 std::uint64_t DagReport::max_ingress_occupancy() const {
-  std::uint64_t highest = 0;
-  for (const DagRelayReport& relay : relays)
-    for (const DagRelayPort& port : relay.ports)
-      if (port.stats.ingress_high_water > highest)
-        highest = port.stats.ingress_high_water;
-  return highest;
+  return fold_relay_ports(
+      relays, &switchdev::RelayPortStats::ingress_high_water, true);
 }
 
 std::uint64_t DagReport::max_relay_queue_depth() const {
-  std::uint64_t highest = 0;
-  for (const DagRelayReport& relay : relays)
-    for (const DagRelayPort& port : relay.ports)
-      if (port.stats.max_queue_depth > highest)
-        highest = port.stats.max_queue_depth;
-  return highest;
+  return fold_relay_ports(relays, &switchdev::RelayPortStats::max_queue_depth,
+                          true);
 }
 
 std::uint64_t DagReport::total_ecn_mark_events() const {
-  std::uint64_t total = 0;
-  for (const DagRelayReport& relay : relays)
-    for (const DagRelayPort& port : relay.ports)
-      total += port.stats.ecn_mark_events;
-  return total;
+  return fold_relay_ports(relays, &switchdev::RelayPortStats::ecn_mark_events,
+                          false);
 }
 
 std::uint64_t DagReport::total_ecn_stalls() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.ecn_stalls + hop.b_extra.ecn_stalls;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::ecn_stalls);
 }
 
 std::uint64_t DagReport::total_hops_declared_dead() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.hops_declared_dead + hop.b_extra.hops_declared_dead;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::hops_declared_dead);
 }
 
 std::uint64_t DagReport::total_dead_flits_drained() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.dead_flits_drained + hop.b_extra.dead_flits_drained;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::dead_flits_drained);
 }
 
 std::uint64_t DagReport::total_credits_refunded() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.credits_refunded + hop.b_extra.credits_refunded;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::credits_refunded);
 }
 
 std::uint64_t DagReport::total_flap_recoveries() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.a_extra.flap_recoveries + hop.b_extra.flap_recoveries;
-  return total;
+  return sum_extras(hops, &EndpointExtraStats::flap_recoveries);
 }
 
 std::uint64_t DagReport::total_flits_blackholed() const {
-  std::uint64_t total = 0;
-  for (const DagLinkStats& hop : hops)
-    total += hop.forward_channel.flits_blackholed +
-             hop.reverse_channel.flits_blackholed;
-  return total;
+  return sum_of(hops, &DagLinkStats::forward_channel,
+                &sim::ChannelStats::flits_blackholed) +
+         sum_of(hops, &DagLinkStats::reverse_channel,
+                &sim::ChannelStats::flits_blackholed);
 }
 
 std::uint64_t DagReport::total_reroutes_executed() const {
-  std::uint64_t total = 0;
-  for (const DagRerouteReport& reroute : reroutes)
-    if (reroute.rerouted) total += 1;
-  return total;
+  return static_cast<std::uint64_t>(
+      std::count_if(reroutes.begin(), reroutes.end(),
+                    [](const DagRerouteReport& r) { return r.rerouted; }));
 }
 
 stats::LatencyHistogram DagReport::merged_latency() const {
@@ -1588,10 +1549,7 @@ stats::LatencyHistogram DagReport::merged_latency() const {
 }
 
 std::uint64_t DagReport::total_latency_sample_misses() const {
-  std::uint64_t total = 0;
-  for (const DagFlowReport& flow : flows)
-    total += flow.latency_sample_misses;
-  return total;
+  return sum_of(flows, &DagFlowReport::latency_sample_misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -1630,6 +1588,25 @@ void apply_flow_classes(DagConfig& config,
   }
 }
 
+/// Appends one node and returns its id.
+std::uint16_t add_node(DagConfig& config, DagNodeKind kind, const char* name) {
+  config.nodes.push_back(DagNode{name, kind, {}});
+  return static_cast<std::uint16_t>(config.nodes.size() - 1);
+}
+
+/// Appends `count` nodes named <prefix><first>, <prefix><first + 1>, ...
+/// and returns the id of the first.
+std::uint16_t add_nodes(DagConfig& config, DagNodeKind kind, const char* prefix,
+                        std::size_t count, std::size_t first = 0) {
+  const auto id = static_cast<std::uint16_t>(config.nodes.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string name = prefix;
+    name += std::to_string(first + i);
+    config.nodes.push_back(DagNode{std::move(name), kind, {}});
+  }
+  return id;
+}
+
 DagEdge scenario_edge(const DagScenarioSpec& spec, std::uint16_t src,
                       std::uint16_t dst) {
   DagEdge edge;
@@ -1642,18 +1619,30 @@ DagEdge scenario_edge(const DagScenarioSpec& spec, std::uint16_t src,
   return edge;
 }
 
+using NodePair = std::pair<std::uint16_t, std::uint16_t>;
+
+/// Appends one scenario edge per (src, dst) pair, in order.
+void add_edges(DagConfig& config, const DagScenarioSpec& spec,
+               std::initializer_list<NodePair> pairs) {
+  for (const auto& [src, dst] : pairs)
+    config.edges.push_back(scenario_edge(spec, src, dst));
+}
+
+/// Appends the edges first + i -> `to` for i in [0, count).
+void add_fan_in(DagConfig& config, const DagScenarioSpec& spec,
+                std::size_t first, std::size_t count, std::uint16_t to) {
+  for (std::size_t i = 0; i < count; ++i)
+    config.edges.push_back(
+        scenario_edge(spec, static_cast<std::uint16_t>(first + i), to));
+}
+
 }  // namespace
 
 DagConfig make_chain_dag(const DagScenarioSpec& spec, std::size_t relays) {
   DagConfig config = base_scenario_config(spec);
-  config.nodes.push_back(DagNode{"src", DagNodeKind::kTerminal, {}});
-  for (std::size_t r = 0; r < relays; ++r) {
-    std::string name = "relay";
-    name += std::to_string(r + 1);
-    config.nodes.push_back(DagNode{std::move(name), DagNodeKind::kRelay, {}});
-  }
-  config.nodes.push_back(DagNode{"dst", DagNodeKind::kTerminal, {}});
-  const std::uint16_t last = static_cast<std::uint16_t>(relays + 1);
+  add_node(config, DagNodeKind::kTerminal, "src");
+  add_nodes(config, DagNodeKind::kRelay, "relay", relays, 1);
+  const std::uint16_t last = add_node(config, DagNodeKind::kTerminal, "dst");
   for (std::uint16_t v = 0; v < last; ++v)
     config.edges.push_back(
         scenario_edge(spec, v, static_cast<std::uint16_t>(v + 1)));
@@ -1663,34 +1652,14 @@ DagConfig make_chain_dag(const DagScenarioSpec& spec, std::size_t relays) {
 
 DagConfig make_butterfly_dag(const DagScenarioSpec& spec) {
   DagConfig config = base_scenario_config(spec);
-  for (int i = 0; i < 4; ++i) {
-    std::string name = "s";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  config.nodes.push_back(DagNode{"r10", DagNodeKind::kRelay, {}});  // id 4
-  config.nodes.push_back(DagNode{"r11", DagNodeKind::kRelay, {}});  // id 5
-  config.nodes.push_back(DagNode{"r20", DagNodeKind::kRelay, {}});  // id 6
-  config.nodes.push_back(DagNode{"r21", DagNodeKind::kRelay, {}});  // id 7
-  for (int i = 0; i < 4; ++i) {
-    std::string name = "d";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }  // ids 8..11
-  config.edges.push_back(scenario_edge(spec, 0, 4));
-  config.edges.push_back(scenario_edge(spec, 1, 4));
-  config.edges.push_back(scenario_edge(spec, 2, 5));
-  config.edges.push_back(scenario_edge(spec, 3, 5));
-  config.edges.push_back(scenario_edge(spec, 4, 6));
-  config.edges.push_back(scenario_edge(spec, 4, 7));
-  config.edges.push_back(scenario_edge(spec, 5, 6));
-  config.edges.push_back(scenario_edge(spec, 5, 7));
-  config.edges.push_back(scenario_edge(spec, 6, 8));
-  config.edges.push_back(scenario_edge(spec, 6, 9));
-  config.edges.push_back(scenario_edge(spec, 7, 10));
-  config.edges.push_back(scenario_edge(spec, 7, 11));
+  // Node ids: sources 0..3, relays 4..7, sinks 8..11.
+  add_nodes(config, DagNodeKind::kTerminal, "s", 4);
+  for (const char* name : {"r10", "r11", "r20", "r21"})
+    add_node(config, DagNodeKind::kRelay, name);
+  add_nodes(config, DagNodeKind::kTerminal, "d", 4);
+  add_edges(config, spec,
+            {{0, 4}, {1, 4}, {2, 5}, {3, 5}, {4, 6}, {4, 7}, {5, 6}, {5, 7},
+             {6, 8}, {6, 9}, {7, 10}, {7, 11}});
   // s0 and s2 land under r20, s1 and s3 under r21: every stage-1 relay
   // splits its two flows across both stage-2 relays, so all four middle
   // edges carry traffic and every stage-2 relay sees fan-in from both
@@ -1704,35 +1673,14 @@ DagConfig make_butterfly_dag(const DagScenarioSpec& spec) {
 
 DagConfig make_fat_tree_dag(const DagScenarioSpec& spec) {
   DagConfig config = base_scenario_config(spec);
-  for (int i = 0; i < 4; ++i) {
-    std::string name = "h";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  config.nodes.push_back(DagNode{"up0", DagNodeKind::kRelay, {}});    // id 4
-  config.nodes.push_back(DagNode{"up1", DagNodeKind::kRelay, {}});    // id 5
-  config.nodes.push_back(DagNode{"spine", DagNodeKind::kRelay, {}});  // id 6
-  config.nodes.push_back(DagNode{"down0", DagNodeKind::kRelay, {}});  // id 7
-  config.nodes.push_back(DagNode{"down1", DagNodeKind::kRelay, {}});  // id 8
-  for (int i = 0; i < 4; ++i) {
-    std::string name = "d";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }  // ids 9..12
-  config.edges.push_back(scenario_edge(spec, 0, 4));
-  config.edges.push_back(scenario_edge(spec, 1, 4));
-  config.edges.push_back(scenario_edge(spec, 2, 5));
-  config.edges.push_back(scenario_edge(spec, 3, 5));
-  config.edges.push_back(scenario_edge(spec, 4, 6));
-  config.edges.push_back(scenario_edge(spec, 5, 6));
-  config.edges.push_back(scenario_edge(spec, 6, 7));
-  config.edges.push_back(scenario_edge(spec, 6, 8));
-  config.edges.push_back(scenario_edge(spec, 7, 9));
-  config.edges.push_back(scenario_edge(spec, 7, 10));
-  config.edges.push_back(scenario_edge(spec, 8, 11));
-  config.edges.push_back(scenario_edge(spec, 8, 12));
+  // Node ids: hosts 0..3, relays 4..8, sinks 9..12.
+  add_nodes(config, DagNodeKind::kTerminal, "h", 4);
+  for (const char* name : {"up0", "up1", "spine", "down0", "down1"})
+    add_node(config, DagNodeKind::kRelay, name);
+  add_nodes(config, DagNodeKind::kTerminal, "d", 4);
+  add_edges(config, spec,
+            {{0, 4}, {1, 4}, {2, 5}, {3, 5}, {4, 6}, {5, 6}, {6, 7}, {6, 8},
+             {7, 9}, {7, 10}, {8, 11}, {8, 12}});
   // Cross traffic: every flow climbs to the spine and descends the other
   // side, so the two trunk hops each multiplex two flows.
   for (std::uint16_t i = 0; i < 4; ++i)
@@ -1743,82 +1691,47 @@ DagConfig make_fat_tree_dag(const DagScenarioSpec& spec) {
 
 DagConfig make_asymmetric_dag(const DagScenarioSpec& spec) {
   DagConfig config = base_scenario_config(spec);
-  config.nodes.push_back(DagNode{"a", DagNodeKind::kTerminal, {}});   // 0
-  config.nodes.push_back(DagNode{"c", DagNodeKind::kTerminal, {}});   // 1
-  config.nodes.push_back(DagNode{"r0", DagNodeKind::kRelay, {}});     // 2
-  config.nodes.push_back(DagNode{"r1", DagNodeKind::kRelay, {}});     // 3
-  config.nodes.push_back(DagNode{"r2", DagNodeKind::kRelay, {}});     // 4
-  config.nodes.push_back(DagNode{"b", DagNodeKind::kTerminal, {}});   // 5
-  config.nodes.push_back(DagNode{"d", DagNodeKind::kTerminal, {}});   // 6
-  config.edges.push_back(scenario_edge(spec, 0, 2));
-  config.edges.push_back(scenario_edge(spec, 2, 3));
-  config.edges.push_back(scenario_edge(spec, 1, 3));
-  config.edges.push_back(scenario_edge(spec, 3, 4));
-  config.edges.push_back(scenario_edge(spec, 4, 5));
-  config.edges.push_back(scenario_edge(spec, 4, 6));
+  for (const char* name : {"a", "c"})  // ids 0, 1
+    add_node(config, DagNodeKind::kTerminal, name);
+  for (const char* name : {"r0", "r1", "r2"})  // ids 2..4
+    add_node(config, DagNodeKind::kRelay, name);
+  for (const char* name : {"b", "d"})  // ids 5, 6
+    add_node(config, DagNodeKind::kTerminal, name);
+  add_edges(config, spec, {{0, 2}, {2, 3}, {1, 3}, {3, 4}, {4, 5}, {4, 6}});
   // a -> b rides four hops, c -> d three; both share the r1 -> r2 trunk.
   config.flows.push_back(DagFlow{0, 5, spec.flits_per_flow, 0xE000});
   config.flows.push_back(DagFlow{1, 6, spec.flits_per_flow, 0xE001});
   return config;
 }
 
-DagConfig make_incast_dag(const DagScenarioSpec& spec, std::size_t sources) {
-  assert(sources >= 2);
-  DagConfig config = base_scenario_config(spec);
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "src";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  const std::uint16_t relay = static_cast<std::uint16_t>(sources);
-  const std::uint16_t sink = static_cast<std::uint16_t>(sources + 1);
-  config.nodes.push_back(DagNode{"relay", DagNodeKind::kRelay, {}});
-  config.nodes.push_back(DagNode{"sink", DagNodeKind::kTerminal, {}});
-  config.max_ports = std::max(config.max_ports, sources + 1);
-  for (std::size_t i = 0; i < sources; ++i)
-    config.edges.push_back(
-        scenario_edge(spec, static_cast<std::uint16_t>(i), relay));
-  config.edges.push_back(scenario_edge(spec, relay, sink));
-  for (std::size_t i = 0; i < sources; ++i) {
-    DagFlow flow;
-    flow.src = static_cast<std::uint16_t>(i);
-    flow.dst = sink;
-    flow.flits = spec.flits_per_flow;
-    flow.salt = 0x1CA0 + i;
-    config.flows.push_back(flow);
-  }
-  return config;
-}
-
 DagConfig make_incast_dag(const DagScenarioSpec& spec, std::size_t sources,
                           std::span<const DagFlowClass> classes) {
-  DagConfig config = make_incast_dag(spec, sources);
+  assert(sources >= 2);
+  DagConfig config = base_scenario_config(spec);
+  add_nodes(config, DagNodeKind::kTerminal, "src", sources);
+  const std::uint16_t relay = add_node(config, DagNodeKind::kRelay, "relay");
+  const std::uint16_t sink = add_node(config, DagNodeKind::kTerminal, "sink");
+  config.max_ports = std::max(config.max_ports, sources + 1);
+  add_fan_in(config, spec, 0, sources, relay);
+  config.edges.push_back(scenario_edge(spec, relay, sink));
+  for (std::size_t i = 0; i < sources; ++i)
+    config.flows.push_back(DagFlow{static_cast<std::uint16_t>(i), sink,
+                                   spec.flits_per_flow, 0x1CA0 + i});
   apply_flow_classes(config, classes);
   return config;
 }
 
-DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources) {
+DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources,
+                           std::span<const DagFlowClass> classes) {
   assert(sources >= 2);
   DagConfig config = base_scenario_config(spec);
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "src";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  const std::uint16_t relay = static_cast<std::uint16_t>(sources);
-  const std::uint16_t hot = static_cast<std::uint16_t>(sources + 1);
-  const std::uint16_t cold = static_cast<std::uint16_t>(sources + 2);
-  config.nodes.push_back(DagNode{"relay", DagNodeKind::kRelay, {}});
-  config.nodes.push_back(DagNode{"hot", DagNodeKind::kTerminal, {}});
-  config.nodes.push_back(DagNode{"cold", DagNodeKind::kTerminal, {}});
+  add_nodes(config, DagNodeKind::kTerminal, "src", sources);
+  const std::uint16_t relay = add_node(config, DagNodeKind::kRelay, "relay");
+  const std::uint16_t hot = add_node(config, DagNodeKind::kTerminal, "hot");
+  const std::uint16_t cold = add_node(config, DagNodeKind::kTerminal, "cold");
   config.max_ports = std::max(config.max_ports, sources + 2);
-  for (std::size_t i = 0; i < sources; ++i)
-    config.edges.push_back(
-        scenario_edge(spec, static_cast<std::uint16_t>(i), relay));
-  config.edges.push_back(scenario_edge(spec, relay, hot));
-  config.edges.push_back(scenario_edge(spec, relay, cold));
+  add_fan_in(config, spec, 0, sources, relay);
+  add_edges(config, spec, {{relay, hot}, {relay, cold}});
   // Flows 0..sources-2 pile onto the hot sink; the last flow has the cold
   // egress hop to itself and must keep moving under the others' backlog.
   for (std::size_t i = 0; i + 1 < sources; ++i)
@@ -1826,12 +1739,6 @@ DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources) {
                                    spec.flits_per_flow, 0x407u + i});
   config.flows.push_back(DagFlow{static_cast<std::uint16_t>(sources - 1),
                                  cold, spec.flits_per_flow, 0xC07D});
-  return config;
-}
-
-DagConfig make_hotspot_dag(const DagScenarioSpec& spec, std::size_t sources,
-                           std::span<const DagFlowClass> classes) {
-  DagConfig config = make_hotspot_dag(spec, sources);
   apply_flow_classes(config, classes);
   return config;
 }
@@ -1840,98 +1747,62 @@ DagConfig make_diamond_dag(const DagScenarioSpec& spec, std::size_t sources,
                            std::size_t branches) {
   assert(sources >= 1 && branches >= 1);
   DagConfig config = base_scenario_config(spec);
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "src";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  const std::uint16_t r0 = static_cast<std::uint16_t>(sources);
-  config.nodes.push_back(DagNode{"r0", DagNodeKind::kRelay, {}});
-  for (std::size_t j = 0; j < branches; ++j) {
-    std::string name = "m";
-    name += std::to_string(j);
-    config.nodes.push_back(DagNode{std::move(name), DagNodeKind::kRelay, {}});
-  }
-  const std::uint16_t r1 = static_cast<std::uint16_t>(sources + branches + 1);
-  config.nodes.push_back(DagNode{"r1", DagNodeKind::kRelay, {}});
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "dst";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(config, DagNodeKind::kTerminal, "src", sources);
+  const std::uint16_t r0 = add_node(config, DagNodeKind::kRelay, "r0");
+  add_nodes(config, DagNodeKind::kRelay, "m", branches);
+  const std::uint16_t r1 = add_node(config, DagNodeKind::kRelay, "r1");
+  const std::uint16_t sinks =
+      add_nodes(config, DagNodeKind::kTerminal, "dst", sources);
   config.max_ports = std::max(config.max_ports, sources + branches);
   // Edge-id layout documented in the header: source uplinks first, then the
   // branch edge pairs interleaved (R0 -> M_j at sources + 2j, M_j -> R1 at
   // sources + 2j + 1), then the sink downlinks. BFS ties break on the
   // lowest edge id, so every primary path rides M_0.
-  for (std::size_t i = 0; i < sources; ++i)
-    config.edges.push_back(
-        scenario_edge(spec, static_cast<std::uint16_t>(i), r0));
+  add_fan_in(config, spec, 0, sources, r0);
   for (std::size_t j = 0; j < branches; ++j) {
-    const std::uint16_t mid = static_cast<std::uint16_t>(sources + 1 + j);
-    config.edges.push_back(scenario_edge(spec, r0, mid));
-    config.edges.push_back(scenario_edge(spec, mid, r1));
+    const auto mid = static_cast<std::uint16_t>(r0 + 1 + j);
+    add_edges(config, spec, {{r0, mid}, {mid, r1}});
   }
-  for (std::size_t i = 0; i < sources; ++i)
-    config.edges.push_back(scenario_edge(
-        spec, r1, static_cast<std::uint16_t>(sources + branches + 2 + i)));
-  for (std::size_t i = 0; i < sources; ++i)
-    config.flows.push_back(
-        DagFlow{static_cast<std::uint16_t>(i),
-                static_cast<std::uint16_t>(sources + branches + 2 + i),
-                spec.flits_per_flow, 0xD1A0u + i});
-  return config;
-}
-
-DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources) {
-  assert(sources >= 2);
-  DagConfig config = base_scenario_config(spec);
   for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "src";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
+    const auto sink = static_cast<std::uint16_t>(sinks + i);
+    config.edges.push_back(scenario_edge(spec, r1, sink));
+    config.flows.push_back(DagFlow{static_cast<std::uint16_t>(i), sink,
+                                   spec.flits_per_flow, 0xD1A0u + i});
   }
-  const std::uint16_t r1 = static_cast<std::uint16_t>(sources);
-  const std::uint16_t r2 = static_cast<std::uint16_t>(sources + 1);
-  config.nodes.push_back(DagNode{"r1", DagNodeKind::kRelay, {}});
-  config.nodes.push_back(DagNode{"r2", DagNodeKind::kRelay, {}});
-  for (std::size_t i = 0; i < sources; ++i) {
-    std::string name = "dst";
-    name += std::to_string(i);
-    config.nodes.push_back(
-        DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  config.max_ports = std::max(config.max_ports, sources + 1);
-  for (std::size_t i = 0; i < sources; ++i)
-    config.edges.push_back(
-        scenario_edge(spec, static_cast<std::uint16_t>(i), r1));
-  config.edges.push_back(scenario_edge(spec, r1, r2));
-  for (std::size_t i = 0; i < sources; ++i)
-    config.edges.push_back(scenario_edge(
-        spec, r2, static_cast<std::uint16_t>(sources + 2 + i)));
-  for (std::size_t i = 0; i < sources; ++i)
-    config.flows.push_back(
-        DagFlow{static_cast<std::uint16_t>(i),
-                static_cast<std::uint16_t>(sources + 2 + i),
-                spec.flits_per_flow, 0x7A00u + i});
   return config;
 }
 
 DagConfig make_trunk_dag(const DagScenarioSpec& spec, std::size_t sources,
                          std::span<const DagFlowClass> classes) {
-  DagConfig config = make_trunk_dag(spec, sources);
+  assert(sources >= 2);
+  DagConfig config = base_scenario_config(spec);
+  add_nodes(config, DagNodeKind::kTerminal, "src", sources);
+  const std::uint16_t r1 = add_node(config, DagNodeKind::kRelay, "r1");
+  const std::uint16_t r2 = add_node(config, DagNodeKind::kRelay, "r2");
+  const std::uint16_t sinks =
+      add_nodes(config, DagNodeKind::kTerminal, "dst", sources);
+  config.max_ports = std::max(config.max_ports, sources + 1);
+  add_fan_in(config, spec, 0, sources, r1);
+  config.edges.push_back(scenario_edge(spec, r1, r2));
+  for (std::size_t i = 0; i < sources; ++i) {
+    const auto sink = static_cast<std::uint16_t>(sinks + i);
+    config.edges.push_back(scenario_edge(spec, r2, sink));
+    config.flows.push_back(DagFlow{static_cast<std::uint16_t>(i), sink,
+                                   spec.flits_per_flow, 0x7A00u + i});
+  }
   apply_flow_classes(config, classes);
   return config;
 }
 
 // ---------------------------------------------------------------------------
-// The legacy star fabric as a one-hub DAG
+// The legacy harnesses as DAGs
 // ---------------------------------------------------------------------------
 
-DagConfig make_star_dag(const StarConfig& config) {
+namespace {
+
+/// The fabric-wide fields a legacy StarConfig or FabricConfig carries.
+template <class Legacy>
+DagConfig legacy_base_config(const Legacy& config) {
   DagConfig dag;
   dag.protocol = config.protocol;
   dag.slot = config.slot;
@@ -1939,7 +1810,28 @@ DagConfig make_star_dag(const StarConfig& config) {
   dag.hub_internal_error_rate = config.switch_internal_error_rate;
   dag.seed = config.seed;
   dag.horizon = config.horizon;
+  return dag;
+}
 
+/// One legacy channel with its error-stream seed replayed from `seeder`.
+template <class Legacy>
+DagEdge legacy_edge(const Legacy& config, std::uint16_t src, std::uint16_t dst,
+                    Xoshiro256& seeder) {
+  DagEdge edge;
+  edge.src = src;
+  edge.dst = dst;
+  edge.ber = config.ber;
+  edge.burst_injection_rate = config.burst_injection_rate;
+  edge.burst_symbols = config.burst_symbols;
+  edge.latency = config.propagation_latency;
+  edge.seed = seeder();
+  return edge;
+}
+
+}  // namespace
+
+DagConfig make_star_dag(const StarConfig& config) {
+  DagConfig dag = legacy_base_config(config);
   const std::size_t n = config.pairs;
   // Legacy seed draw order: down switch, up switch, then per pair the four
   // channels (host uplink, device downlink, device uplink, host downlink).
@@ -1950,39 +1842,18 @@ DagConfig make_star_dag(const StarConfig& config) {
   const std::uint64_t hub_seed = seeder();
   (void)seeder();  // the legacy up-switch stream; the single hub has one
 
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string name = "host";
-    name += std::to_string(i);
-    dag.nodes.push_back(DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string name = "dev";
-    name += std::to_string(i);
-    dag.nodes.push_back(DagNode{std::move(name), DagNodeKind::kTerminal, {}});
-  }
+  add_nodes(dag, DagNodeKind::kTerminal, "host", n);
+  add_nodes(dag, DagNodeKind::kTerminal, "dev", n);
   const std::uint16_t hub = static_cast<std::uint16_t>(2 * n);
   dag.nodes.push_back(DagNode{"hub", DagNodeKind::kHub, hub_seed});
   // 2N terminals + the hub: keep validation permissive for large stars.
   dag.max_ports = std::max<std::size_t>(dag.max_ports, 4 * n);
-
-  auto star_edge = [&](std::uint16_t src, std::uint16_t dst) {
-    DagEdge edge;
-    edge.src = src;
-    edge.dst = dst;
-    edge.ber = config.ber;
-    edge.burst_injection_rate = config.burst_injection_rate;
-    edge.burst_symbols = config.burst_symbols;
-    edge.latency = config.propagation_latency;
-    edge.seed = seeder();
-    return edge;
-  };
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint16_t host = static_cast<std::uint16_t>(i);
     const std::uint16_t device = static_cast<std::uint16_t>(n + i);
-    dag.edges.push_back(star_edge(host, hub));    // host uplink
-    dag.edges.push_back(star_edge(hub, device));  // device downlink
-    dag.edges.push_back(star_edge(device, hub));  // device uplink
-    dag.edges.push_back(star_edge(hub, host));    // host downlink
+    for (const auto& [src, dst] : {NodePair{host, hub}, {hub, device},
+                                   {device, hub}, {hub, host}})
+      dag.edges.push_back(legacy_edge(config, src, dst, seeder));
   }
   for (std::size_t i = 0; i < n; ++i)
     dag.flows.push_back(DagFlow{static_cast<std::uint16_t>(i),
@@ -1995,53 +1866,30 @@ DagConfig make_star_dag(const StarConfig& config) {
   return dag;
 }
 
-// ---------------------------------------------------------------------------
-// The paper's multi-level switch trial as hub chains
-// ---------------------------------------------------------------------------
-
 DagConfig make_switch_levels_dag(const FabricConfig& config) {
-  DagConfig dag;
-  dag.protocol = config.protocol;
-  dag.slot = config.slot;
-  dag.hub_latency = config.switch_latency;
-  dag.hub_internal_error_rate = config.switch_internal_error_rate;
-  dag.seed = config.seed;
-  dag.horizon = config.horizon;
+  DagConfig dag = legacy_base_config(config);
   // The protocol's credit window bounds both directions of the one domain.
   dag.hop_credits = config.protocol.tx_credits;
 
   const unsigned levels = config.switch_levels;
-  const std::uint16_t host = 0;
-  const std::uint16_t device = 1;
-  dag.nodes.push_back(DagNode{"host", DagNodeKind::kTerminal, {}});
-  dag.nodes.push_back(DagNode{"device", DagNodeKind::kTerminal, {}});
+  const std::uint16_t host = add_node(dag, DagNodeKind::kTerminal, "host");
+  const std::uint16_t device = add_node(dag, DagNodeKind::kTerminal, "device");
   // Replayed seed draws: per direction, downstream first, the L+1 channels
   // and then the L switches, so every channel error stream and every
   // switch's internal-corruption stream matches the historical harness.
   Xoshiro256 seeder(config.seed);
   auto add_direction = [&](std::uint16_t from, std::uint16_t to,
                            const char* stage_name) {
-    const std::size_t first_hub = dag.nodes.size();
+    const std::uint16_t first_hub =
+        add_nodes(dag, DagNodeKind::kHub, stage_name, levels, 1);
     auto hub = [&](unsigned level) {
       return static_cast<std::uint16_t>(first_hub + level);
     };
-    for (unsigned hop = 0; hop <= levels; ++hop) {
-      DagEdge edge;
-      edge.src = hop == 0 ? from : hub(hop - 1);
-      edge.dst = hop == levels ? to : hub(hop);
-      edge.ber = config.ber;
-      edge.burst_injection_rate = config.burst_injection_rate;
-      edge.burst_symbols = config.burst_symbols;
-      edge.latency = config.propagation_latency;
-      edge.seed = seeder();
-      dag.edges.push_back(edge);
-    }
-    for (unsigned level = 0; level < levels; ++level) {
-      std::string name = stage_name;
-      name += std::to_string(level + 1);
-      dag.nodes.push_back(
-          DagNode{std::move(name), DagNodeKind::kHub, seeder()});
-    }
+    for (unsigned hop = 0; hop <= levels; ++hop)
+      dag.edges.push_back(legacy_edge(config, hop == 0 ? from : hub(hop - 1),
+                                      hop == levels ? to : hub(hop), seeder));
+    for (unsigned level = 0; level < levels; ++level)
+      dag.nodes[hub(level)].seed = seeder();
   };
   add_direction(host, device, "down");
   add_direction(device, host, "up");
