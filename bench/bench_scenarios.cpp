@@ -60,15 +60,15 @@ TraceResult run_trace(transport::Protocol protocol, flit::MessageKind kind) {
   TraceResult result;
   txn::StreamScoreboard stream;
   txn::TxnScoreboard txn_board;
-  host.set_source([&stream, kind](std::uint64_t index)
-                      -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= 4) return std::nullopt;
+  host.set_source([&stream, kind, index = std::uint64_t{0}]() mutable
+                  -> transport::Endpoint::TxPull {
+    if (index >= 4) return {};
     std::vector<flit::PackedMessage> messages{
         {kind, 0, static_cast<std::uint16_t>(index)}};
     std::vector<std::uint8_t> payload(kPayloadBytes, 0);
     flit::pack_messages(messages, payload);
     stream.register_sent(index, payload);
-    return payload;
+    return {transport::Endpoint::TxItem{std::move(payload), index++}};
   });
   device.set_deliver([&](std::span<const std::uint8_t> payload,
                          const sim::FlitEnvelope& envelope) {

@@ -6,9 +6,10 @@
 // heap-allocates any capture beyond its SSO buffer and costs an indirect
 // destructor walk per assignment; InlineDelegate stores the callable inline
 // and requires it to be trivially copyable, exactly like InlineEvent
-// (rxl-lint R3 bans std::function from hot-path files). Receivers capture a
-// component pointer or a couple of references — anything heavier belongs in
-// component-owned state.
+// (rxl-lint R3 bans std::function from hot-path files). Endpoint's source
+// and delivery hooks run once per flit and use it for the same reason.
+// Receivers capture a component pointer or a couple of references —
+// anything heavier belongs in component-owned state.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +44,7 @@ class InlineDelegate<Ret(Args...), StorageBytes> {
     static_assert(std::is_trivially_copyable_v<Callable> &&
                       std::is_trivially_destructible_v<Callable>,
                   "delegate callbacks must be trivially copyable (no "
-                  "std::function, no owning captures)");
+                  "type-erased wrappers, no owning captures)");
     ::new (static_cast<void*>(storage_)) Callable(std::forward<F>(fn));
     invoke_ = [](void* storage, Args... args) -> Ret {
       return (*std::launder(reinterpret_cast<Callable*>(storage)))(

@@ -43,7 +43,8 @@ class InlineEvent {
     static_assert(std::is_trivially_copyable_v<Callable> &&
                       std::is_trivially_destructible_v<Callable>,
                   "event callbacks must be trivially copyable so heap sifts "
-                  "are block copies (no std::function, no owning captures)");
+                  "are block copies (no type-erased wrappers, no owning "
+                  "captures)");
     ::new (static_cast<void*>(storage_)) Callable(std::forward<F>(fn));
     invoke_ = [](void* storage) {
       (*std::launder(reinterpret_cast<Callable*>(storage)))();

@@ -174,7 +174,7 @@ class RelaySwitch {
 
   void on_delivered(std::size_t ingress, std::span<const std::uint8_t> payload,
                     const sim::FlitEnvelope& envelope);
-  transport::Endpoint::RelayPull pull_next(std::size_t egress);
+  transport::Endpoint::TxPull pull_next(std::size_t egress);
   [[nodiscard]] std::uint8_t vc_of(std::uint16_t flow_id) const noexcept;
   [[nodiscard]] static std::size_t total_pending(const Port& port) noexcept;
   void enqueue(Port& out_port, Pending pending);

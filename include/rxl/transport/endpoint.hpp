@@ -16,14 +16,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "rxl/common/ring_queue.hpp"
 #include "rxl/link/credit.hpp"
 #include "rxl/link/link_layer.hpp"
 #include "rxl/link/reorder_buffer.hpp"
@@ -31,6 +30,7 @@
 #include "rxl/link/sequence.hpp"
 #include "rxl/obs/trace.hpp"
 #include "rxl/sim/event_queue.hpp"
+#include "rxl/sim/inline_delegate.hpp"
 #include "rxl/sim/link_channel.hpp"
 #include "rxl/sim/timer.hpp"
 #include "rxl/transport/config.hpp"
@@ -51,7 +51,7 @@ struct EndpointExtraStats {
   std::uint64_t forward_resyncs = 0;
   /// --- Credit flow control (all zero on hops without credits) ---
   /// Stall episodes: the TX wanted to transmit and found the window empty.
-  /// The gate runs before the (side-effecting) source is consulted, so the
+  /// A source asks gate() before its own (side-effecting) checks, so the
   /// window emptying exactly on a stream's final flit can record one extra
   /// end-of-stream episode; the probes that follow are intentional — they
   /// restore the window even when the stream is done, which is what closes
@@ -77,34 +77,35 @@ class Endpoint {
   /// Application delivery: `payload` is the 240 B payload of an accepted
   /// flit; `envelope` carries simulation ground truth for scoreboards.
   using DeliverFn =
-      std::function<void(std::span<const std::uint8_t> payload,
-                         const sim::FlitEnvelope& envelope)>;
-  /// Pull-model traffic source: return the next 240 B payload for stream
-  /// position `truth_index`, or nullopt when (currently) out of data.
-  using SourceFn =
-      std::function<std::optional<std::vector<std::uint8_t>>(std::uint64_t)>;
-  /// A relayed flit awaiting re-origination on this endpoint's hop: the
-  /// payload plus the end-to-end ground truth that must survive the hop
-  /// (DAG relays route on flow_id; scoreboards match on truth_index).
+      sim::InlineDelegate<void(std::span<const std::uint8_t> payload,
+                               const sim::FlitEnvelope& envelope)>;
+  /// A flit awaiting (re-)origination on this endpoint's hop: the payload
+  /// plus the end-to-end ground truth that must survive the hop (DAG
+  /// relays route on flow_id; scoreboards match on truth_index).
   struct TxItem {
     std::vector<std::uint8_t> payload;
     std::uint64_t truth_index = 0;
     std::uint16_t flow_id = 0;
     std::uint8_t vc = 0;  ///< virtual channel the flit travels (and bills) on
   };
-  /// Result of one relay-source pull. When no item is returned the flags
-  /// say WHY, so the endpoint can distinguish an empty queue (go idle) from
-  /// a blocked one (record the stall and arm the probe that guarantees the
+  /// Result of one source pull. When no item is returned the flags say
+  /// WHY, so the endpoint can distinguish an empty source (go idle) from a
+  /// blocked one (record the stall and arm the probe that guarantees the
   /// unblock signal cannot be lost).
-  struct RelayPull {
+  struct TxPull {
     std::optional<TxItem> item;
-    bool credit_blocked = false;  ///< a queued VC's window partition is empty
-    bool ecn_blocked = false;     ///< queued VCs blocked only by ECN marks
+    bool credit_blocked = false;  ///< the item's VC window partition is empty
+    bool ecn_blocked = false;     ///< the item's VC is blocked only by ECN
+    [[nodiscard]] bool blocked() const noexcept {
+      return credit_blocked || ecn_blocked;
+    }
   };
-  /// Pull-model relay source (exclusive with SourceFn): return the next
-  /// schedulable TxItem (the relay's egress scheduler picks the VC), or an
-  /// empty pull with the blocked flags set.
-  using RelaySourceFn = std::function<RelayPull()>;
+  /// Pull-model transmit source, shared by terminals (a flow's stream) and
+  /// relays (the egress scheduler over the store-and-forward queues):
+  /// return the next TxItem, or an empty pull with the blocked flags set.
+  /// Contract: never return an item on a VC that gate() reports blocked —
+  /// ask gate(vc) first and hand its pull back while it is blocked.
+  using SourceFn = sim::InlineDelegate<TxPull()>;
 
   /// Raised at most once, when the TX exhausts its retry budget
   /// (ProtocolConfig::max_retry_episodes / dead_hop_timeout) and declares
@@ -120,7 +121,7 @@ class Endpoint {
     };
     std::vector<DrainedFlit> drained;  ///< oldest -> newest
   };
-  using HopDownFn = std::function<void(HopDownEvent&&)>;
+  using HopDownFn = sim::InlineDelegate<void(HopDownEvent&&)>;
 
   Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
            std::string name);
@@ -129,26 +130,15 @@ class Endpoint {
   /// Destination routing tag stamped on every outgoing envelope (consumed
   /// by multi-port switches; stands in for address-based routing).
   void set_dest_port(std::uint16_t port) noexcept { dest_port_ = port; }
-  /// Flow identity stamped on flits originated through SourceFn (relay
-  /// items carry their own). Simulation metadata, like dest_port.
-  void set_flow_id(std::uint16_t flow_id) noexcept { flow_id_ = flow_id; }
-  /// Virtual channel for flits originated through SourceFn (relay items
-  /// carry their own). Must be < config.num_vcs.
-  void set_tx_vc(std::uint8_t vc) noexcept { tx_vc_ = vc; }
   /// RX-side flow -> VC attribution for terminal auto credit return: a sink
   /// receiving several flows frees the slot on the VC the flow rode in on.
   /// Unmapped flows default to VC 0 (the single-channel behaviour).
   void set_rx_flow_vc(std::uint16_t flow, std::uint8_t vc);
-  void set_deliver(DeliverFn deliver) { deliver_ = std::move(deliver); }
-  void set_source(SourceFn source) { source_ = std::move(source); }
-  /// Installs a relay source. Exclusive with set_source: an endpoint either
-  /// originates a stream or re-originates a relayed one, never both.
-  void set_relay_source(RelaySourceFn source) {
-    relay_source_ = std::move(source);
-  }
+  void set_deliver(DeliverFn deliver) noexcept { deliver_ = deliver; }
+  void set_source(SourceFn source) noexcept { source_ = source; }
 
   /// Installs the hop-death handler (fault injection's management plane).
-  void set_hop_down(HopDownFn handler) { hop_down_ = std::move(handler); }
+  void set_hop_down(HopDownFn handler) noexcept { hop_down_ = handler; }
 
   /// True once this TX has declared its hop dead and gone inert.
   [[nodiscard]] bool hop_dead() const noexcept { return hop_dead_; }
@@ -170,15 +160,16 @@ class Endpoint {
 
   /// Returns `n` receive-buffer credits to the upstream transmitter (no-op
   /// when the hop runs without flow control). Called by the bounded-buffer
-  /// owner when payloads leave the buffer. The no-VC form credits VC 0.
-  void return_credits(std::size_t n);
+  /// owner when payloads leave the buffer.
   void return_credits(std::uint8_t vc, std::size_t n);
 
-  /// True when a NEW data flit may be injected on `vc` right now: the VC's
-  /// window partition has a credit and the peer has not ECN-marked it.
-  /// Replays are exempt from both gates. The relay's egress scheduler polls
-  /// this to skip blocked VCs instead of head-of-line blocking on them.
-  [[nodiscard]] bool vc_send_ready(std::size_t vc) const noexcept;
+  /// May a NEW data flit be injected on `vc` right now? An empty pull says
+  /// yes; otherwise the flags say why not, credit first: the VC's window
+  /// partition is empty, else the peer has ECN-marked the VC. Replays are
+  /// exempt from both gates. Every source asks this before it hands out an
+  /// item (the relay's egress scheduler to skip blocked VCs instead of
+  /// head-of-line blocking on them).
+  [[nodiscard]] TxPull gate(std::size_t vc) const noexcept;
 
   /// Sets the absolute per-VC ECN mark bitmap this receive side carries on
   /// every outbound control flit (the relay owns the occupancy thresholds).
@@ -257,11 +248,10 @@ class Endpoint {
  private:
   // TX path.
   bool send_one();
-  [[nodiscard]] sim::FlitEnvelope replay_envelope(
-      const link::RetryBuffer::Entry& entry) const;
-  void send_data_flit(std::span<const std::uint8_t> payload,
-                      std::uint64_t truth_index, std::uint16_t flow_id,
-                      std::uint8_t vc);
+  bool send_new();
+  void send_replay(const link::RetryBuffer::Entry& entry,
+                   std::uint32_t reason);
+  void send_data_flit(const TxItem& item);
   void note_credit_stall();
   void note_ecn_stall();
   void enqueue_control(flit::ReplayCmd command, std::uint16_t fsn);
@@ -274,6 +264,7 @@ class Endpoint {
   // Credit flow control (see link/credit.hpp for the scheme).
   [[nodiscard]] unsigned credit_return_batch() const noexcept;
   void flush_credit_returns();
+  void send_credit_advert();
   void on_credit_timer();
   void on_credit_probe_timer();
   void process_vc_credit_word(std::size_t vc, std::uint16_t credit_word);
@@ -300,12 +291,15 @@ class Endpoint {
 
   // RX path.
   void rx_data(sim::FlitEnvelope&& envelope);
+  void rx_explicit_seq(sim::FlitEnvelope&& envelope, std::uint16_t seq);
+  void rx_ahead_of_window(sim::FlitEnvelope&& envelope, std::uint16_t seq);
   void rx_control(const sim::FlitEnvelope& envelope);
   void process_acknum(std::uint16_t acknum);
   void process_nack(std::uint16_t last_good);
   void send_nack();
   void arm_nack_timer();
   void on_nack_timer();
+  void accept(const sim::FlitEnvelope& envelope);
   void deliver(const sim::FlitEnvelope& envelope);
   void after_delivery(std::uint16_t flow_id);
 
@@ -317,19 +311,15 @@ class Endpoint {
   // TX state.
   sim::LinkChannel* output_ = nullptr;
   std::uint16_t dest_port_ = 0;
-  std::uint16_t flow_id_ = 0;
   std::uint16_t next_seq_ = 0;  ///< sequence number of the next new flit
   link::RetryBuffer retry_buffer_;
   std::optional<std::uint16_t> replay_cursor_;
-  std::deque<std::uint16_t> single_resends_;  ///< selective-repeat requests
-  std::deque<flit::Flit> control_queue_;
-  std::uint64_t next_truth_index_ = 0;
+  RingQueue<std::uint16_t> single_resends_;  ///< selective-repeat requests
+  RingQueue<flit::Flit> control_queue_;
   SourceFn source_;
-  RelaySourceFn relay_source_;
   bool kick_scheduled_ = false;
   sim::Timer retry_timer_;
   TimePs last_ack_progress_ = 0;
-  std::uint8_t tx_vc_ = 0;  ///< VC for SourceFn-originated flits
   link::VcCreditWindows credit_windows_;
   bool credit_stalled_ = false;  ///< TX wanted a new flit, window was empty
   bool ecn_stalled_ = false;     ///< TX blocked only by an ECN mark

@@ -14,6 +14,9 @@ std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config) {
   port_name += ".p";
   port_name += std::to_string(index);
   Port port;
+  // Setup-time allocation: ports are added before traffic starts, and the
+  // endpoint's address must stay stable while ports_ grows.
+  // rxl-lint: allow(R3)
   port.endpoint = std::make_unique<transport::Endpoint>(queue_, config,
                                                         std::move(port_name));
   ports_.push_back(std::move(port));
@@ -26,7 +29,7 @@ std::size_t RelaySwitch::add_port(const transport::ProtocolConfig& config) {
                                      const sim::FlitEnvelope& envelope) {
     on_delivered(index, payload, envelope);
   });
-  endpoint.set_relay_source([this, index]() { return pull_next(index); });
+  endpoint.set_source([this, index] { return pull_next(index); });
   return index;
 }
 
@@ -92,33 +95,25 @@ transport::Endpoint::TxItem RelaySwitch::dequeue(Port& port,
   return std::move(pending.item);
 }
 
-transport::Endpoint::RelayPull RelaySwitch::pull_next(std::size_t egress) {
+transport::Endpoint::TxPull RelaySwitch::pull_next(std::size_t egress) {
   Port& port = ports_[egress];
-  transport::Endpoint::RelayPull pull;
   const transport::Endpoint& endpoint = *port.endpoint;
   if (scheduler_.policy() == EgressPolicy::kFifo) {
     // Shared queue: the head decides, and a blocked head blocks everything
     // behind it — the HOL behaviour the VC policies exist to fix.
-    if (port.queues[0].empty()) return pull;
-    const std::uint8_t vc = port.queues[0].front().item.vc;
-    if (!endpoint.credit_windows().vc(vc).available()) {
-      pull.credit_blocked = true;
-      return pull;
-    }
-    if (!endpoint.vc_send_ready(vc)) {
-      pull.ecn_blocked = true;
-      return pull;
-    }
-    pull.item = dequeue(port, 0);
+    if (port.queues[0].empty()) return {};
+    transport::Endpoint::TxPull pull =
+        endpoint.gate(port.queues[0].front().item.vc);
+    if (!pull.blocked()) pull.item = dequeue(port, 0);
     return pull;
   }
+  transport::Endpoint::TxPull pull;
   const std::optional<std::size_t> vc = scheduler_.pick(
       port.drr, [&](std::size_t v) { return port.queues[v].empty(); },
-      [&](std::size_t v) { return endpoint.credit_windows().vc(v).available(); },
-      [&](std::size_t v) { return endpoint.vc_send_ready(v); },
+      [&](std::size_t v) { return !endpoint.gate(v).credit_blocked; },
+      [&](std::size_t v) { return !endpoint.gate(v).ecn_blocked; },
       &pull.credit_blocked, &pull.ecn_blocked);
-  if (!vc.has_value()) return pull;
-  pull.item = dequeue(port, *vc);
+  if (vc.has_value()) pull.item = dequeue(port, *vc);
   return pull;
 }
 

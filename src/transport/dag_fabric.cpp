@@ -1189,9 +1189,7 @@ class DagFabric {
       const DagFlow& spec = config_.flows[f];
       FlowState& flow = flows_[f];
       flow.source = ends_[plan_.flow_segments[f].front()].tx;
-      flow.source->set_flow_id(static_cast<std::uint16_t>(f));
       if (spec.vc != 0) {
-        flow.source->set_tx_vc(spec.vc);
         ends_[plan_.flow_segments[f].back()].rx->set_rx_flow_vc(
             static_cast<std::uint16_t>(f), spec.vc);
       }
@@ -1221,8 +1219,7 @@ class DagFabric {
         flow.ring_at.assign(depth, 0);
         flow.ring_tag.assign(depth, ~std::uint64_t{0});
       }
-      flow.source->set_source(
-          [this, f](std::uint64_t index) { return pull(f, index); });
+      flow.source->set_source([this, f] { return pull(f); });
     }
   }
 
@@ -1265,14 +1262,20 @@ class DagFabric {
     }
   }
 
-  /// Flow f's source: the payload for stream position `index`, or nullopt
-  /// while the budget is spent or the arrival process or closed-loop window
-  /// holds it back.
-  std::optional<std::vector<std::uint8_t>> pull(std::size_t f,
-                                                std::uint64_t index) {
+  /// Flow f's source: the first endpoint's gate verdict while the flow's VC
+  /// is blocked, an empty pull while the budget is spent or the arrival
+  /// process or closed-loop window holds the flow back, else the payload
+  /// for the next stream position.
+  Endpoint::TxPull pull(std::size_t f) {
     const DagFlow& spec = config_.flows[f];
     FlowState& flow = flows_[f];
-    if (index >= spec.flits) return std::nullopt;
+    // The gate comes first, so an exhausted flow on an empty window still
+    // records its end-of-stream stall (see EndpointExtraStats::
+    // credit_stalls).
+    Endpoint::TxPull result = flow.source->gate(spec.vc);
+    if (result.blocked()) return result;
+    const std::uint64_t index = flow.offered;
+    if (index >= spec.flits) return result;
     TimePs inject_stamp = queue_.now();
     if (flow.arrivals.has_value()) {
       // Rate-shaped source: index i is offered no earlier than its arrival
@@ -1288,14 +1291,14 @@ class DagFabric {
             flows_[f].source->kick();
           });
         }
-        return std::nullopt;
+        return result;
       }
       // Latency is measured from the ARRIVAL, not the pull: under overload
       // the source-side backlog is part of the delay, which is what makes a
       // load-latency curve inflect past saturation.
       inject_stamp = due;
     } else if (flow.loop.has_value()) {
-      if (!flow.loop->may_offer()) return std::nullopt;
+      if (!flow.loop->may_offer()) return result;
       flow.loop->on_offer();
     }
     if (sample_) {
@@ -1320,7 +1323,9 @@ class DagFabric {
     std::vector<std::uint8_t> payload = make_stream_payload(index, spec.salt);
     flow.board.register_sent(index, payload);
     flow.offered = index + 1;
-    return payload;
+    result.item = Endpoint::TxItem{std::move(payload), index,
+                                   static_cast<std::uint16_t>(f), spec.vc};
+    return result;
   }
 
   /// Occupancy/goodput time-series sampler: a self-rescheduling observation

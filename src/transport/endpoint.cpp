@@ -14,8 +14,6 @@ constexpr std::uint16_t seq_prev(std::uint16_t seq) noexcept {
   return link::seq_add(seq, kSeqMask);  // -1 mod 1024
 }
 
-
-
 }  // namespace
 
 Endpoint::Endpoint(sim::EventQueue& queue, const ProtocolConfig& config,
@@ -81,7 +79,7 @@ bool Endpoint::send_one() {
   if (!control_queue_.empty()) {
     sim::FlitEnvelope envelope;
     envelope.flit = control_queue_.front();
-    control_queue_.pop_front();
+    control_queue_.drop_front();
     envelope.sealed = false;  // control flits fold 0
     envelope.dest_port = dest_port_;
     stats_.control_flits_sent += 1;
@@ -90,86 +88,59 @@ bool Endpoint::send_one() {
   }
   // Priority 2: selective-repeat single-flit resends.
   while (!single_resends_.empty()) {
-    const std::uint16_t seq = single_resends_.front();
-    const link::RetryBuffer::Entry* entry = retry_buffer_.find_entry(seq);
-    if (entry == nullptr) {
-      single_resends_.pop_front();  // already acked/freed; skip
-      continue;
-    }
-    sim::FlitEnvelope envelope = replay_envelope(*entry);
-    single_resends_.pop_front();
-    stats_.data_flits_retransmitted += 1;
-    trace(obs::TraceEventKind::kRetry, entry->user_tag, entry->flow_tag, seq,
-          entry->vc, obs::kRetrySelective);
-    output_->send(std::move(envelope));
+    const link::RetryBuffer::Entry* entry =
+        retry_buffer_.find_entry(single_resends_.pop_front());
+    if (entry == nullptr) continue;  // already acked/freed; skip
+    send_replay(*entry, obs::kRetrySelective);
     return true;
   }
   // Priority 3: go-back-N replay.
   if (replay_cursor_.has_value()) {
     const link::RetryBuffer::Entry* entry =
         retry_buffer_.find_entry(*replay_cursor_);
-    if (entry == nullptr) {
-      replay_cursor_.reset();
-    } else {
-      sim::FlitEnvelope envelope = replay_envelope(*entry);
+    if (entry != nullptr) {
       const std::uint16_t next = link::seq_next(entry->seq);
       replay_cursor_ =
           retry_buffer_.find(next) ? std::optional<std::uint16_t>(next)
                                    : std::nullopt;
-      stats_.data_flits_retransmitted += 1;
-      trace(obs::TraceEventKind::kRetry, entry->user_tag, entry->flow_tag,
-            entry->seq, entry->vc, obs::kRetryGoBackN);
-      output_->send(std::move(envelope));
+      send_replay(*entry, obs::kRetryGoBackN);
       return true;
     }
+    replay_cursor_.reset();
   }
-  // Priority 4: new application data (or the relay's store-and-forward
-  // queue), window permitting.
-  if (source_ || relay_source_) {
-    assert(!(source_ && relay_source_));
-    if (retry_buffer_.full()) {
-      stats_.tx_stalls += 1;
-      return false;
-    }
-    if (!credit_windows_.any_available()) {
-      // Every VC's downstream partition is full as far as the windows
-      // know: only a credit return may unblock new data. Replays above are
-      // exempt — a replayed flit's slot was charged at first transmission.
-      // The probe timer recovers the hop if the peer's final return was
-      // corrupted.
-      note_credit_stall();
-      return false;
-    }
-    if (relay_source_) {
-      RelayPull pull = relay_source_();
-      if (pull.item.has_value()) {
-        send_data_flit(pull.item->payload, pull.item->truth_index,
-                       pull.item->flow_id, pull.item->vc);
-        return true;
-      }
-      // Nothing schedulable. An empty queue goes idle; a blocked one
-      // records the stall and arms the probe so the unblocking signal (a
-      // credit return or a mark clear) cannot be lost forever.
-      if (pull.credit_blocked) {
-        note_credit_stall();
-      } else if (pull.ecn_blocked) {
-        note_ecn_stall();
-      }
-    } else {
-      if (!credit_windows_.vc(tx_vc_).available()) {
-        note_credit_stall();
-        return false;
-      }
-      if (((ecn_remote_marks_ >> tx_vc_) & 1u) != 0) {
-        note_ecn_stall();
-        return false;
-      }
-      if (auto payload = source_(next_truth_index_)) {
-        send_data_flit(*payload, next_truth_index_, flow_id_, tx_vc_);
-        next_truth_index_ += 1;
-        return true;
-      }
-    }
+  // Priority 4: new data from the source, window permitting.
+  return send_new();
+}
+
+/// Pulls the next new flit from the source (a flow's stream, or the
+/// relay's store-and-forward queues) and sends it; false when the replay
+/// window, the credit windows or the source hold it back.
+bool Endpoint::send_new() {
+  if (!source_) return false;
+  if (retry_buffer_.full()) {
+    stats_.tx_stalls += 1;
+    return false;
+  }
+  if (!credit_windows_.any_available()) {
+    // Every VC's downstream partition is full as far as the windows know:
+    // only a credit return may unblock new data. Replays are exempt — a
+    // replayed flit's slot was charged at first transmission. The probe
+    // timer recovers the hop if the peer's final return was corrupted.
+    note_credit_stall();
+    return false;
+  }
+  const TxPull pull = source_();
+  if (pull.item.has_value()) {
+    send_data_flit(*pull.item);
+    return true;
+  }
+  // Nothing schedulable. An empty source goes idle; a blocked one records
+  // the stall and arms the probe so the unblocking signal (a credit return
+  // or a mark clear) cannot be lost forever.
+  if (pull.credit_blocked) {
+    note_credit_stall();
+  } else if (pull.ecn_blocked) {
+    note_ecn_stall();
   }
   return false;
 }
@@ -194,8 +165,8 @@ void Endpoint::note_ecn_stall() {
     credit_probe_timer_.arm(config_.retry_timeout);
 }
 
-sim::FlitEnvelope Endpoint::replay_envelope(
-    const link::RetryBuffer::Entry& entry) const {
+void Endpoint::send_replay(const link::RetryBuffer::Entry& entry,
+                           std::uint32_t reason) {
   sim::FlitEnvelope envelope;
   envelope.flit = entry.flit;
   envelope.sealed = false;
@@ -204,12 +175,13 @@ sim::FlitEnvelope Endpoint::replay_envelope(
   envelope.has_truth = true;
   envelope.dest_port = dest_port_;
   envelope.flow_id = entry.flow_tag;
-  return envelope;
+  stats_.data_flits_retransmitted += 1;
+  trace(obs::TraceEventKind::kRetry, entry.user_tag, entry.flow_tag, entry.seq,
+        entry.vc, reason);
+  output_->send(std::move(envelope));
 }
 
-void Endpoint::send_data_flit(std::span<const std::uint8_t> payload,
-                              std::uint64_t truth_index,
-                              std::uint16_t flow_id, std::uint8_t vc) {
+void Endpoint::send_data_flit(const TxItem& item) {
   const std::uint16_t seq = next_seq_;
   std::optional<std::uint16_t> acknum;
   if (config_.ack_policy == link::AckPolicy::kPiggyback &&
@@ -222,25 +194,26 @@ void Endpoint::send_data_flit(std::span<const std::uint8_t> payload,
   // SeqNum with no piggybacked ACK; the wire frame on first transmission
   // may substitute an AckNum into the FSN field.
   sim::FlitEnvelope envelope;
-  envelope.flit = codec_.frame_data(payload, seq, acknum);
+  envelope.flit = codec_.frame_data(item.payload, seq, acknum);
   envelope.sealed = false;
   envelope.isn_fold = codec_.data_fold(seq);
-  envelope.truth_index = truth_index;
+  envelope.truth_index = item.truth_index;
   envelope.has_truth = true;
   envelope.dest_port = dest_port_;
-  envelope.flow_id = flow_id;
+  envelope.flow_id = item.flow_id;
   if (acknum.has_value()) stats_.acks_piggybacked += 1;
 
   const bool pushed = retry_buffer_.push(
       seq,
-      acknum.has_value() ? codec_.frame_data(payload, seq, std::nullopt)
+      acknum.has_value() ? codec_.frame_data(item.payload, seq, std::nullopt)
                          : envelope.flit,
-      truth_index, flow_id, vc);
+      item.truth_index, item.flow_id, item.vc);
   assert(pushed);
   (void)pushed;
   if (credit_windows_.enabled()) {
-    assert(credit_windows_.vc(vc).available());  // send_one gated on the VC
-    credit_windows_.vc(vc).consume();
+    // The source asked gate() before handing the item out.
+    assert(credit_windows_.vc(item.vc).available());
+    credit_windows_.vc(item.vc).consume();
     extra_.credits_consumed += 1;
   }
   if (retry_buffer_.size() == 1) last_ack_progress_ = queue_.now();
@@ -248,7 +221,8 @@ void Endpoint::send_data_flit(std::span<const std::uint8_t> payload,
 
   next_seq_ = link::seq_next(next_seq_);
   stats_.data_flits_sent += 1;
-  trace(obs::TraceEventKind::kTx, truth_index, flow_id, seq, vc, 0);
+  trace(obs::TraceEventKind::kTx, item.truth_index, item.flow_id, seq, item.vc,
+        0);
   output_->send(std::move(envelope));
 }
 
@@ -340,8 +314,6 @@ unsigned Endpoint::credit_return_batch() const noexcept {
       ack_scheduler_.coalesce_factor(), half_window));
 }
 
-void Endpoint::return_credits(std::size_t n) { return_credits(0, n); }
-
 void Endpoint::return_credits(std::uint8_t vc, std::size_t n) {
   if (!credit_returns_.enabled() || n == 0) return;
   for (std::size_t i = 0; i < n; ++i) credit_returns_.vc(vc).on_slot_freed();
@@ -349,9 +321,14 @@ void Endpoint::return_credits(std::uint8_t vc, std::size_t n) {
   flush_credit_returns();
 }
 
-bool Endpoint::vc_send_ready(std::size_t vc) const noexcept {
-  return credit_windows_.vc(vc).available() &&
-         ((ecn_remote_marks_ >> vc) & 1u) == 0;
+Endpoint::TxPull Endpoint::gate(std::size_t vc) const noexcept {
+  TxPull pull;
+  if (!credit_windows_.vc(vc).available()) {
+    pull.credit_blocked = true;
+  } else if (((ecn_remote_marks_ >> vc) & 1u) != 0) {
+    pull.ecn_blocked = true;
+  }
+  return pull;
 }
 
 void Endpoint::set_ecn_marks(std::uint8_t marks) {
@@ -362,11 +339,7 @@ void Endpoint::set_ecn_marks(std::uint8_t marks) {
   // the "before credit exhaustion" purpose, and resuming late strands
   // bandwidth. The advert is the standard credit-return flit — marks ride
   // the same CRC-covered control payload as the cumulative counts.
-  if (credit_returns_.enabled()) {
-    extra_.credit_adverts += 1;
-    enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
-    kick();
-  }
+  if (credit_returns_.enabled()) send_credit_advert();
 }
 
 void Endpoint::set_rx_flow_vc(std::uint16_t flow, std::uint8_t vc) {
@@ -390,21 +363,25 @@ void Endpoint::flush_credit_returns() {
   const std::size_t owed = credit_returns_.unadvertised();
   if (owed == 0) return;
   if (owed >= credit_return_batch()) {
-    extra_.credit_adverts += 1;
-    enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
-    kick();
+    send_credit_advert();
   } else if (!credit_timer_.armed() && config_.credit_return_timeout > 0) {
     credit_timer_.arm(config_.credit_return_timeout);
   }
+}
+
+/// Queues a standalone credit-return flit carrying the cumulative counts
+/// and the current ECN mark bitmap.
+void Endpoint::send_credit_advert() {
+  extra_.credit_adverts += 1;
+  enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
+  kick();
 }
 
 void Endpoint::on_credit_timer() {
   // Stragglers below the batch threshold that no ACK/NACK picked up in
   // time: return them standalone so the peer's window cannot strand.
   if (credit_returns_.unadvertised() == 0) return;
-  extra_.credit_adverts += 1;
-  enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
-  kick();
+  send_credit_advert();
 }
 
 void Endpoint::on_credit_probe_timer() {
@@ -581,77 +558,13 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
     const flit::FlitHeader header = envelope.flit.header();
     if (header.replay_cmd == flit::ReplayCmd::kAck) process_acknum(header.fsn);
     nack_active_ = false;
-    expected_seq_ = link::seq_next(expected_seq_);
-    deliver(envelope);
-    after_delivery(envelope.flow_id);
+    accept(envelope);
     return;
   }
 
   // ----- Baseline CXL -----
   if (check.explicit_seq.has_value()) {
-    const std::uint16_t seq = *check.explicit_seq;
-    if (seq == expected_seq_) {
-      last_verified_ = seq;
-      nack_active_ = false;
-      episode_ahead_discards_ = 0;
-      expected_seq_ = link::seq_next(expected_seq_);
-      deliver(envelope);
-      after_delivery(envelope.flow_id);
-      // Selective repeat: the gap just filled; drain every consecutive
-      // buffered successor in order.
-      if (reorder_buffer_.has_value()) {
-        while (auto buffered = reorder_buffer_->take(expected_seq_)) {
-          last_verified_ = expected_seq_;
-          expected_seq_ = link::seq_next(expected_seq_);
-          deliver(*buffered);
-          after_delivery(buffered->flow_id);
-        }
-        // Buffered flits beyond ANOTHER gap remain: request the next
-        // missing flit right away instead of waiting for a fresh arrival.
-        if (reorder_buffer_->size() > 0) send_nack();
-      }
-    } else if (link::seq_distance(expected_seq_, seq) < 0) {
-      // Behind the window: a stale replay of something already delivered.
-      extra_.stale_discards += 1;
-      trace(obs::TraceEventKind::kDrop, envelope.truth_index,
-            envelope.flow_id, seq, 0, obs::kDropStale);
-    } else {
-      // Ahead of the window: a gap — some flit was silently dropped.
-      if (reorder_buffer_.has_value()) {
-        // Selective repeat: hold the arrival and request only the missing
-        // flit (ReplayCmd = kNackSingle on the wire; same NACK machinery).
-        reorder_buffer_->insert(seq, std::move(envelope));
-        send_nack();
-        return;
-      }
-      stats_.flits_discarded_seq += 1;
-      trace(obs::TraceEventKind::kDrop, envelope.truth_index,
-            envelope.flow_id, seq, 0, obs::kDropSeqWindow);
-      // Threshold: if the transmitter still held our expected flit, its
-      // go-back-N window could put at most `capacity` flits ahead of it on
-      // the wire before stalling (and its retry timeout would then replay
-      // from the expected flit). Seeing more ahead-flits than that proves
-      // the entry is gone (freed by an inflated AckNum).
-      const unsigned threshold =
-          static_cast<unsigned>(config_.retry_buffer_capacity) + 32;
-      if (nack_active_ && ++episode_ahead_discards_ > threshold) {
-        // The transmitter has been replaying past our expected flit for a
-        // whole window: it no longer holds it (its replay-buffer entry was
-        // freed by an AckNum inflated through unchecked deliveries). Real
-        // hardware would escalate to link recovery; we skip forward and
-        // count the loss so the stream — and the failure statistics —
-        // keep flowing.
-        extra_.forward_resyncs += 1;
-        last_verified_ = seq;
-        nack_active_ = false;
-        episode_ahead_discards_ = 0;
-        expected_seq_ = link::seq_next(seq);
-        deliver(envelope);
-        after_delivery(envelope.flow_id);
-        return;
-      }
-      send_nack();
-    }
+    rx_explicit_seq(std::move(envelope), *check.explicit_seq);
     return;
   }
 
@@ -671,9 +584,75 @@ void Endpoint::rx_data(sim::FlitEnvelope&& envelope) {
   // advances ESeqNum even if a silently dropped flit should have come
   // first. This is the ordering vulnerability the paper quantifies.
   extra_.unchecked_deliveries += 1;
-  expected_seq_ = link::seq_next(expected_seq_);
-  deliver(envelope);
-  after_delivery(envelope.flow_id);
+  accept(envelope);
+}
+
+void Endpoint::rx_explicit_seq(sim::FlitEnvelope&& envelope,
+                               std::uint16_t seq) {
+  if (seq == expected_seq_) {
+    last_verified_ = seq;
+    nack_active_ = false;
+    episode_ahead_discards_ = 0;
+    accept(envelope);
+    // Selective repeat: the gap just filled; drain every consecutive
+    // buffered successor in order.
+    if (reorder_buffer_.has_value()) {
+      while (auto buffered = reorder_buffer_->take(expected_seq_)) {
+        last_verified_ = expected_seq_;
+        accept(*buffered);
+      }
+      // Buffered flits beyond ANOTHER gap remain: request the next
+      // missing flit right away instead of waiting for a fresh arrival.
+      if (reorder_buffer_->size() > 0) send_nack();
+    }
+    return;
+  }
+  if (link::seq_distance(expected_seq_, seq) < 0) {
+    // Behind the window: a stale replay of something already delivered.
+    extra_.stale_discards += 1;
+    trace(obs::TraceEventKind::kDrop, envelope.truth_index, envelope.flow_id,
+          seq, 0, obs::kDropStale);
+    return;
+  }
+  rx_ahead_of_window(std::move(envelope), seq);
+}
+
+/// CXL: an explicit SeqNum ahead of ESeqNum — a gap, some flit was
+/// silently dropped.
+void Endpoint::rx_ahead_of_window(sim::FlitEnvelope&& envelope,
+                                  std::uint16_t seq) {
+  if (reorder_buffer_.has_value()) {
+    // Selective repeat: hold the arrival and request only the missing flit
+    // (ReplayCmd = kNackSingle on the wire; same NACK machinery).
+    reorder_buffer_->insert(seq, std::move(envelope));
+    send_nack();
+    return;
+  }
+  stats_.flits_discarded_seq += 1;
+  trace(obs::TraceEventKind::kDrop, envelope.truth_index, envelope.flow_id,
+        seq, 0, obs::kDropSeqWindow);
+  // Threshold: if the transmitter still held our expected flit, its
+  // go-back-N window could put at most `capacity` flits ahead of it on the
+  // wire before stalling (and its retry timeout would then replay from the
+  // expected flit). Seeing more ahead-flits than that proves the entry is
+  // gone (freed by an inflated AckNum).
+  const unsigned threshold =
+      static_cast<unsigned>(config_.retry_buffer_capacity) + 32;
+  if (nack_active_ && ++episode_ahead_discards_ > threshold) {
+    // The transmitter has been replaying past our expected flit for a
+    // whole window: it no longer holds it (its replay-buffer entry was
+    // freed by an AckNum inflated through unchecked deliveries). Real
+    // hardware would escalate to link recovery; we skip forward and count
+    // the loss so the stream — and the failure statistics — keep flowing.
+    extra_.forward_resyncs += 1;
+    last_verified_ = seq;
+    nack_active_ = false;
+    episode_ahead_discards_ = 0;
+    expected_seq_ = seq;
+    accept(envelope);
+    return;
+  }
+  send_nack();
 }
 
 void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
@@ -715,11 +694,8 @@ void Endpoint::rx_control(const sim::FlitEnvelope& envelope) {
       // Credit-management control flit: the credit word above already
       // delivered any return; a probe additionally asks this side to
       // re-advertise its cumulative count (its last return may be lost).
-      if (header.fsn == kCreditProbeFsn && credit_returns_.enabled()) {
-        extra_.credit_adverts += 1;
-        enqueue_control(flit::ReplayCmd::kSeqNum, kCreditAdvertFsn);
-        kick();
-      }
+      if (header.fsn == kCreditProbeFsn && credit_returns_.enabled())
+        send_credit_advert();
       break;
   }
 }
@@ -806,6 +782,14 @@ void Endpoint::on_nack_timer() {
     kick();
   }
   arm_nack_timer();
+}
+
+/// In-order acceptance of the flit at expected_seq_: advance ESeqNum, hand
+/// the payload up, then free its buffer slot and schedule the ACK.
+void Endpoint::accept(const sim::FlitEnvelope& envelope) {
+  expected_seq_ = link::seq_next(expected_seq_);
+  deliver(envelope);
+  after_delivery(envelope.flow_id);
 }
 
 void Endpoint::deliver(const sim::FlitEnvelope& envelope) {

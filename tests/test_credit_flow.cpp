@@ -164,12 +164,17 @@ struct DirectPair {
         [this](sim::FlitEnvelope&& envelope) { rx->on_flit(std::move(envelope)); });
     reverse->set_receiver(
         [this](sim::FlitEnvelope&& envelope) { tx->on_flit(std::move(envelope)); });
-    tx->set_source([this](std::uint64_t index)
-                       -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= budget) return std::nullopt;
-      return std::vector<std::uint8_t>(kPayloadBytes,
-                                       static_cast<std::uint8_t>(index));
-    });
+    tx->set_source(
+        [this, index = std::uint64_t{0}]() mutable -> Endpoint::TxPull {
+          Endpoint::TxPull pull = tx->gate(0);
+          if (pull.blocked() || index >= budget) return pull;
+          pull.item = Endpoint::TxItem{
+              std::vector<std::uint8_t>(kPayloadBytes,
+                                        static_cast<std::uint8_t>(index)),
+              index};
+          index += 1;
+          return pull;
+        });
     rx->set_deliver([this](std::span<const std::uint8_t>,
                            const sim::FlitEnvelope&) { delivered += 1; });
   }
@@ -245,7 +250,6 @@ TEST(CreditFlow, NoRouteDropsReturnTheirCredits) {
   protocol.tx_credits = 2;
   protocol.rx_credits = 2;
   Endpoint tx(queue, protocol, "tx");
-  tx.set_flow_id(7);
   switchdev::RelaySwitch relay(queue, "r");
   relay.add_port(protocol);
   sim::LinkChannel uplink(queue, std::make_unique<phy::NoErrors>(), 1, 2'000,
@@ -259,11 +263,14 @@ TEST(CreditFlow, NoRouteDropsReturnTheirCredits) {
   relay.port(0).set_output(&control);
   control.set_receiver(
       [&tx](sim::FlitEnvelope&& envelope) { tx.on_flit(std::move(envelope)); });
-  tx.set_source([](std::uint64_t index)
-                    -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= 5) return std::nullopt;
-    return std::vector<std::uint8_t>(kPayloadBytes, 0x5A);
-  });
+  tx.set_source(
+      [&tx, index = std::uint64_t{0}]() mutable -> Endpoint::TxPull {
+        Endpoint::TxPull pull = tx.gate(0);
+        if (pull.blocked() || index >= 5) return pull;
+        pull.item = Endpoint::TxItem{
+            std::vector<std::uint8_t>(kPayloadBytes, 0x5A), index++, 7};
+        return pull;
+      });
   tx.kick();
   queue.run_until(10'000'000);
   EXPECT_EQ(relay.port_stats(0).relayed_in, 5u);

@@ -814,7 +814,6 @@ TEST(DagFabric, RelayWithoutRouteCountsDropsNotCrashes) {
   ProtocolConfig protocol;
   protocol.ack_policy = link::AckPolicy::kStandalone;
   Endpoint tx(queue, protocol, "tx");
-  tx.set_flow_id(7);
   switchdev::RelaySwitch relay(queue, "r");
   relay.add_port(protocol);
   relay.add_port(protocol);
@@ -829,10 +828,10 @@ TEST(DagFabric, RelayWithoutRouteCountsDropsNotCrashes) {
   relay.port(0).set_output(&control);
   control.set_receiver(
       [&tx](sim::FlitEnvelope&& envelope) { tx.on_flit(std::move(envelope)); });
-  tx.set_source([](std::uint64_t index)
-                    -> std::optional<std::vector<std::uint8_t>> {
-    if (index >= 3) return std::nullopt;
-    return std::vector<std::uint8_t>(kPayloadBytes, 0x5A);
+  tx.set_source([index = std::uint64_t{0}]() mutable -> Endpoint::TxPull {
+    if (index >= 3) return {};
+    return {Endpoint::TxItem{std::vector<std::uint8_t>(kPayloadBytes, 0x5A),
+                             index++, 7}};
   });
   tx.kick();
   queue.run_until(1'000'000);

@@ -38,15 +38,15 @@ struct PairHarness {
 
   static void attach(Endpoint& tx, Endpoint& rx, txn::StreamScoreboard& board,
                      std::uint64_t budget, std::uint64_t salt) {
-    tx.set_source([&board, budget, salt](std::uint64_t index)
-                      -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= budget) return std::nullopt;
+    tx.set_source([&board, budget, salt,
+                   index = std::uint64_t{0}]() mutable -> Endpoint::TxPull {
+      if (index >= budget) return {};
       std::vector<std::uint8_t> payload(kPayloadBytes,
                                         static_cast<std::uint8_t>(salt));
       payload[0] = static_cast<std::uint8_t>(index);
       payload[1] = static_cast<std::uint8_t>(index >> 8);
       board.register_sent(index, payload);
-      return payload;
+      return {Endpoint::TxItem{std::move(payload), index++}};
     });
     rx.set_deliver([&board](std::span<const std::uint8_t> payload,
                             const sim::FlitEnvelope& envelope) {
@@ -177,6 +177,34 @@ TEST(Endpoint, SequenceNumbersWrapCleanly) {
   EXPECT_EQ(down.in_order, 2500u);
   EXPECT_EQ(down.order_violations, 0u);
   EXPECT_EQ(harness.a->debug_next_seq(), 2500 % 1024);
+}
+
+TEST(Endpoint, GateReportsCreditBeforeEcn) {
+  // Two VCs, one credit each. b never returns the slot a's single flit
+  // takes on VC 0, so VC 0's window stays empty while VC 1's stays open;
+  // b's marks reach a through its ECN adverts.
+  ProtocolConfig config;
+  config.protocol = Protocol::kRxl;
+  config.num_vcs = 2;
+  config.tx_credits = 1;
+  config.rx_credits = 1;
+  PairHarness harness(config, std::make_unique<phy::NoErrors>(), 1, 0);
+  harness.b->set_deferred_credit_return(true);
+  harness.run(1'000'000);
+  ASSERT_EQ(harness.down.finalize().in_order, 1u);
+
+  harness.b->set_ecn_marks(0b11);
+  harness.queue.run_until(2'000'000);
+  const Endpoint::TxPull empty_marked = harness.a->gate(0);
+  EXPECT_TRUE(empty_marked.credit_blocked);
+  EXPECT_FALSE(empty_marked.ecn_blocked);
+  const Endpoint::TxPull open_marked = harness.a->gate(1);
+  EXPECT_FALSE(open_marked.credit_blocked);
+  EXPECT_TRUE(open_marked.ecn_blocked);
+
+  harness.b->set_ecn_marks(0);
+  harness.queue.run_until(3'000'000);
+  EXPECT_FALSE(harness.a->gate(1).blocked());
 }
 
 }  // namespace

@@ -213,13 +213,17 @@ struct FaultyPair {
     reverse->set_receiver([this](sim::FlitEnvelope&& envelope) {
       tx->on_flit(std::move(envelope));
     });
-    tx->set_flow_id(9);
-    tx->set_source([this](std::uint64_t index)
-                       -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= budget) return std::nullopt;
-      return std::vector<std::uint8_t>(kPayloadBytes,
-                                       static_cast<std::uint8_t>(index));
-    });
+    tx->set_source(
+        [this, index = std::uint64_t{0}]() mutable -> Endpoint::TxPull {
+          Endpoint::TxPull pull = tx->gate(0);
+          if (pull.blocked() || index >= budget) return pull;
+          pull.item = Endpoint::TxItem{
+              std::vector<std::uint8_t>(kPayloadBytes,
+                                        static_cast<std::uint8_t>(index)),
+              index, 9};
+          index += 1;
+          return pull;
+        });
     rx->set_deliver([this](std::span<const std::uint8_t>,
                            const sim::FlitEnvelope&) { delivered += 1; });
     tx->set_hop_down([this](Endpoint::HopDownEvent&& event) {

@@ -61,29 +61,6 @@ TEST(AckScheduler, ForceOverridesCounter) {
   EXPECT_EQ(scheduler.consume(), 42);
 }
 
-TEST(NackDeduper, OneNackPerEpisode) {
-  NackDeduper deduper;
-  EXPECT_TRUE(deduper.request(7));
-  EXPECT_FALSE(deduper.request(7));  // duplicate suppressed
-  EXPECT_TRUE(deduper.request(9));   // different resync point: new episode
-  EXPECT_FALSE(deduper.request(9));
-}
-
-TEST(NackDeduper, ResolveClosesEpisode) {
-  NackDeduper deduper;
-  EXPECT_TRUE(deduper.request(3));
-  deduper.resolve();
-  EXPECT_FALSE(deduper.active());
-  EXPECT_TRUE(deduper.request(3));  // same value fires again after resolve
-}
-
-TEST(NackDeduper, RearmAllowsRetransmitOfSameNack) {
-  NackDeduper deduper;
-  EXPECT_TRUE(deduper.request(5));
-  deduper.rearm();
-  EXPECT_TRUE(deduper.request(5));
-}
-
 TEST(EndpointStats, ZeroInitialised) {
   EndpointStats stats;
   EXPECT_EQ(stats.data_flits_sent, 0u);

@@ -68,9 +68,9 @@ struct ScenarioHarness {
       host->on_flit(std::move(envelope));
     });
 
-    host->set_source([this, kind, flits](std::uint64_t index)
-                         -> std::optional<std::vector<std::uint8_t>> {
-      if (index >= flits) return std::nullopt;
+    host->set_source([this, kind, flits,
+                      index = std::uint64_t{0}]() mutable -> Endpoint::TxPull {
+      if (index >= flits) return {};
       // One message per flit, same CQID, tag = stream index: requests for
       // the Fig. 5a trace, data for Fig. 5b.
       std::vector<flit::PackedMessage> messages{
@@ -78,7 +78,7 @@ struct ScenarioHarness {
       std::vector<std::uint8_t> payload(kPayloadBytes, 0);
       flit::pack_messages(messages, payload);
       stream.register_sent(index, payload);
-      return payload;
+      return {Endpoint::TxItem{std::move(payload), index++}};
     });
     device->set_deliver([this](std::span<const std::uint8_t> payload,
                                const sim::FlitEnvelope& envelope) {

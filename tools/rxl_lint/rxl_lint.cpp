@@ -23,7 +23,8 @@
 //   R3  no std::function, heap `new`, make_unique/make_shared, or
 //       malloc/calloc in designated hot-path files (event kernel, link
 //       channel, ring queue, timer, flit/GF(256)/RS kernels, the
-//       transparent hub switch). Placement
+//       transparent hub switch, the protocol endpoint and the relay
+//       switch). Placement
 //       new into inline storage (`::new (ptr) T` / `new (ptr) T`) is the
 //       sanctioned pattern and is not flagged.
 //   R4  no float/double in protocol/sim state headers (timestamps and
@@ -258,8 +259,10 @@ std::string basename_of(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/// R3: the event/link hot path, the flit / GF(256) / RS kernels, and the
-/// transparent hub every switched flit crosses.
+/// R3: the event/link hot path, the flit / GF(256) / RS kernels, the
+/// transparent hub every switched flit crosses, and the per-flit transmit
+/// and receive pipelines (Endpoint) and relay queues every relayed flit
+/// crosses.
 bool in_hot_path_scope(const std::string& rel) {
   static const std::set<std::string> kHotFiles = {
       "event_queue.hpp", "event_queue.cpp", "inline_event.hpp",
@@ -268,7 +271,8 @@ bool in_hot_path_scope(const std::string& rel) {
       "flit.hpp", "flit.cpp", "flit68.hpp", "flit68.cpp",
       "flit_fec.hpp", "flit_fec.cpp", "reed_solomon.hpp",
       "reed_solomon.cpp", "crc64.hpp", "crc64.cpp", "port_switch.hpp",
-      "port_switch.cpp"};
+      "port_switch.cpp", "endpoint.hpp", "endpoint.cpp", "relay_switch.hpp",
+      "relay_switch.cpp"};
   return kHotFiles.count(basename_of(rel)) != 0;
 }
 
